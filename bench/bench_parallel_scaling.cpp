@@ -30,7 +30,6 @@
 #include "scenarios/multitenant.hpp"
 #include "verify/faults.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 
 namespace {
 
@@ -39,7 +38,7 @@ using scenarios::Datacenter;
 using scenarios::DatacenterParams;
 using scenarios::DcMisconfig;
 using verify::Outcome;
-using verify::ParallelOptions;
+using verify::EngineOptions;
 using verify::Engine;
 
 constexpr int kClasses = 8;
@@ -57,7 +56,8 @@ std::map<bool, double> baseline_ms;
 
 double run_batch(const Datacenter& dc, std::size_t workers,
                  bool use_symmetry, benchmark::State& state) {
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = workers;
   opts.use_symmetry = use_symmetry;
   opts.verify.solver.seed = 1;
@@ -145,7 +145,8 @@ void BM_BatchFastPath(benchmark::State& state) {
     batch.expected_holds.push_back(true);
   }
 
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
@@ -244,7 +245,8 @@ void BM_IsoWarm(benchmark::State& state) {
     batch.expected_holds.push_back(true);
   }
 
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
@@ -339,7 +341,8 @@ void BM_Fig8Batch(benchmark::State& state) {
   p.private_vms_per_tenant = 1;
   scenarios::MultiTenant mt = scenarios::make_multitenant(p);
   const scenarios::Batch batch = mt.batch();
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.verify.solver.seed = 1;
   Engine v(mt.model, opts);
@@ -404,7 +407,8 @@ void BM_BatchBackend(benchmark::State& state) {
   const bool use_process = state.range(0) != 0;
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.verify.solver.seed = 1;
   opts.backend =
@@ -462,7 +466,8 @@ BENCHMARK(BM_BatchBackend)
 void BM_FaultQuarantine(benchmark::State& state) {
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.verify.solver.seed = 1;
   opts.backend = verify::Backend::process;
@@ -516,7 +521,8 @@ BENCHMARK(BM_FaultQuarantine)->Unit(benchmark::kMillisecond)->Iterations(1);
 void BM_FaultEscalation(benchmark::State& state) {
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = 2;
   opts.verify.solver.seed = 1;
   opts.verify.faults = verify::FaultPlan::parse("solver-unknown=1");

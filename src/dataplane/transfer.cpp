@@ -91,11 +91,13 @@ std::vector<NodeId> TransferFunction::path(NodeId from_edge, Address dst) const 
 }
 
 const TransferFunction& TransferCache::at(ScenarioId scenario) {
+  if (entries_.count(scenario.value()) != 0) ++reuses_;
+  return borrow(scenario);
+}
+
+const TransferFunction& TransferCache::borrow(ScenarioId scenario) {
   auto it = entries_.find(scenario.value());
-  if (it != entries_.end()) {
-    ++reuses_;
-    return *it->second;
-  }
+  if (it != entries_.end()) return *it->second;
   auto [pos, _] = entries_.emplace(
       scenario.value(), std::make_unique<TransferFunction>(*network_, scenario));
   return *pos->second;

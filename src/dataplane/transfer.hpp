@@ -62,6 +62,10 @@ class TransferCache {
 
   /// The memoized transfer function for `scenario` (built on first use).
   [[nodiscard]] const TransferFunction& at(ScenarioId scenario);
+  /// at() for a borrower: an encoder drawing on a memo it was lent counts
+  /// no reuse here, so the owner's planning statistics read the same
+  /// whether or not a solver session shares the memo.
+  [[nodiscard]] const TransferFunction& borrow(ScenarioId scenario);
 
   [[nodiscard]] const net::Network& network() const { return *network_; }
   /// Distinct scenarios built / requests answered from the memo.

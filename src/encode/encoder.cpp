@@ -228,7 +228,7 @@ void Encoding::emit_omega_and_failures() {
     const dataplane::TransferFunction* tf_ptr = nullptr;
     if (shared != nullptr) {
       const std::size_t builds_before = shared->builds();
-      tf_ptr = &shared->at(sid);
+      tf_ptr = &shared->borrow(sid);
       if (shared->builds() > builds_before) {
         ++transfer_builds_;
       } else {

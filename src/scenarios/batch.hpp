@@ -1,8 +1,8 @@
 // The uniform invariant-batch shape every scenario generator exports.
 //
-// ParallelVerifier, the CLI --batch mode, the parallel tests and the
-// scaling benchmark all consume scenarios through this one interface
-// instead of each scenario's bespoke accessors.
+// The verification engine's tests, the CLI --batch mode and the scaling
+// benchmark all consume scenarios through this one interface instead of
+// each scenario's bespoke accessors.
 #pragma once
 
 #include <string>

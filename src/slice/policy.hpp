@@ -51,7 +51,7 @@ struct PolicyClassOptions {
   /// Failure budget of the delivery relation: only scenarios with at most
   /// this many failed nodes are walked, refine the classes, and are
   /// recorded (must match the verification budget so dedup reflects
-  /// exactly the verified scenarios - the engines pass theirs). Negative
+  /// exactly the verified scenarios - the engine passes its own). Negative
   /// covers every scenario. Queries for scenarios beyond this budget
   /// treat them as out of budget.
   int max_failures = -1;

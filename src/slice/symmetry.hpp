@@ -73,8 +73,8 @@ struct SymmetryGroups {
 /// class_signature merges (the key embeds kind, type prefix and the role
 /// and class of every host), so merging by key never exceeds the paper's
 /// section 4.2 symmetry classes while splitting the structurally-unequal
-/// cases class signatures would unsoundly merge; both the sequential batch
-/// path and the parallel planner group by this key.
+/// cases class signatures would unsoundly merge; the batch planner
+/// (verify::plan_jobs) groups by this key.
 ///
 /// Keys are stable across processes and runs: round signatures are
 /// compressed with a pinned FNV-1a 64 digest (never std::hash, whose value

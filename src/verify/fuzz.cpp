@@ -10,7 +10,6 @@
 #include "sim/replay.hpp"
 #include "sim/simulator.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::verify {
@@ -31,6 +30,15 @@ VerifyOptions baseline_options(const FuzzOptions& options, int budget) {
   vo.max_failures = budget;
   vo.solver = options.solver;
   return vo;
+}
+
+/// `vo` fanned out over the fuzz run's worker count (the baseline and the
+/// one-worker oracle legs run on a single worker).
+EngineOptions pooled(const VerifyOptions& vo, const FuzzOptions& options) {
+  EngineOptions eo(vo);
+  eo.batch = true;
+  eo.jobs = options.jobs;
+  return eo;
 }
 
 std::string invariant_label(const io::Spec& spec, std::size_t i) {
@@ -66,13 +74,11 @@ std::optional<std::string> oracle_engines(io::Spec& spec,
                                           const VerifyOptions& vo,
                                           const BatchResult& baseline,
                                           const FuzzOptions& options) {
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = vo;
+  EngineOptions po = pooled(vo, options);
   const auto threads = Engine(spec.model, po).run_batch(
       spec.invariants);
   if (auto d = diff_results(spec, baseline.results, threads.results,
-                            "sequential vs thread backend")) {
+                            "one worker vs thread pool")) {
     return d;
   }
   po.backend = Backend::process;
@@ -80,7 +86,7 @@ std::optional<std::string> oracle_engines(io::Spec& spec,
   const auto procs = Engine(spec.model, po).run_batch(
       spec.invariants);
   return diff_results(spec, baseline.results, procs.results,
-                      "sequential vs process backend");
+                      "one worker vs process pool");
 }
 
 std::optional<std::string> oracle_warm_cold(io::Spec& spec,
@@ -89,22 +95,19 @@ std::optional<std::string> oracle_warm_cold(io::Spec& spec,
                                             const FuzzOptions& options) {
   VerifyOptions cold = vo;
   cold.warm_solving = false;
-  const auto seq_cold =
+  const auto one_cold =
       Engine(spec.model, cold).run_batch(spec.invariants, true);
-  if (auto d = diff_results(spec, baseline.results, seq_cold.results,
-                            "warm vs cold (sequential)")) {
+  if (auto d = diff_results(spec, baseline.results, one_cold.results,
+                            "warm vs cold (one worker)")) {
     return d;
   }
-  // The parallel warm path rebinds jobs onto isomorphic representatives'
-  // live encodings; cold never does. Comparing parallel-cold against the
+  // The warm path rebinds jobs onto isomorphic representatives' live
+  // encodings; cold never does. Comparing pool-cold against the
   // (engine-checked) warm baseline is the iso-rebound == plain oracle.
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = cold;
-  const auto par_cold = Engine(spec.model, po).run_batch(
-      spec.invariants);
-  return diff_results(spec, baseline.results, par_cold.results,
-                      "warm vs cold (parallel)");
+  const auto pool_cold = Engine(spec.model, pooled(cold, options))
+                             .run_batch(spec.invariants);
+  return diff_results(spec, baseline.results, pool_cold.results,
+                      "warm vs cold (thread pool)");
 }
 
 std::optional<std::string> oracle_iso_verdict(io::Spec& spec,
@@ -114,21 +117,19 @@ std::optional<std::string> oracle_iso_verdict(io::Spec& spec,
   // Verdict-level equivalence-class merging (one solver call fanned out to
   // every problem-key-equal binding) against the merge-free run that solves
   // each planned job itself: replayed verdicts must be indistinguishable
-  // from solved ones on both engines.
+  // from solved ones on one worker and on a pool.
   VerifyOptions unmerged = vo;
   unmerged.merge_isomorphic = false;
-  const auto seq =
+  const auto one =
       Engine(spec.model, unmerged).run_batch(spec.invariants, true);
-  if (auto d = diff_results(spec, baseline.results, seq.results,
-                            "merged vs unmerged (sequential)")) {
+  if (auto d = diff_results(spec, baseline.results, one.results,
+                            "merged vs unmerged (one worker)")) {
     return d;
   }
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = unmerged;
-  const auto par = Engine(spec.model, po).run_batch(spec.invariants);
-  return diff_results(spec, baseline.results, par.results,
-                      "merged vs unmerged (parallel)");
+  const auto pool = Engine(spec.model, pooled(unmerged, options))
+                        .run_batch(spec.invariants);
+  return diff_results(spec, baseline.results, pool.results,
+                      "merged vs unmerged (thread pool)");
 }
 
 std::optional<std::string> oracle_symmetry(io::Spec& spec,
@@ -263,9 +264,7 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   chaos.frame_corrupt = 0.1;
   chaos.frame_truncate = 0.05;
   chaos.solver_unknown = 0.2;
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = vo;
+  EngineOptions po = pooled(vo, options);
   po.verify.faults = chaos;
   po.backend = Backend::process;
   po.process.worker_command = options.worker_command;
@@ -279,9 +278,7 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   solver_chaos.seed = chaos.seed;
   solver_chaos.solver_unknown = 0.25;
   solver_chaos.solver_timeout = 0.1;
-  ParallelOptions to;
-  to.jobs = options.jobs;
-  to.verify = vo;
+  EngineOptions to = pooled(vo, options);
   to.verify.faults = solver_chaos;
   const auto threads =
       Engine(spec.model, to).run_batch(spec.invariants);

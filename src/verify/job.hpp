@@ -4,11 +4,11 @@
 // canonical slice fingerprints (slice::canonical_slice_key): two invariants
 // share a job exactly when their kind, policy classes AND refined slice
 // structure agree - a strictly stronger condition than the coarse
-// class-signature grouping (slice::class_signature). The sequential
-// Verifier::verify_all and the ParallelVerifier both execute plans built by
-// the one shared planner (verify::plan_jobs), which is why the two engines
-// agree representative-for-representative. Every job carries the indices of
-// all invariants that inherit its outcome.
+// class-signature grouping (slice::class_signature). Engine::run_batch
+// executes plans built by the one planner (verify::plan_jobs) at any worker
+// count, which is why every worker count agrees
+// representative-for-representative. Every job carries the indices of all
+// invariants that inherit its outcome.
 #pragma once
 
 #include <chrono>
@@ -69,7 +69,7 @@ struct PlanContext {
   /// group share a key while encoding different problems - each
   /// configuration stratum gets its own representative and later member
   /// sets of the same stratum still pair up (the list is capped; see
-  /// plan_jobs). Owned by the verifier alongside the transfer memo, so
+  /// plan_jobs). Owned by the engine alongside the transfer memo, so
   /// representatives persist across plan passes - a later batch warms
   /// straight onto the shapes an earlier batch encoded.
   std::unordered_map<std::string, std::vector<ShapeRep>> shape_reps;
@@ -145,12 +145,12 @@ struct Job {
   /// Batch indices (excluding the representative) inheriting the outcome.
   std::vector<std::size_t> inheritors;
   /// Planning cost (slice computation + canonical key) for the
-  /// representative; both engines fold it into the representative's
+  /// representative; the engine folds it into the representative's
   /// total_time so per-invariant figures stay comparable.
   std::chrono::milliseconds plan_time{0};
   /// The invariant the solver actually sees, already mapped into encode
-  /// space (== the batch invariant when iso_image is empty). Engines and
-  /// workers solve this verbatim; no per-engine relabeling.
+  /// space (== the batch invariant when iso_image is empty). Thread and
+  /// wire workers solve this verbatim; no per-worker relabeling.
   encode::Invariant solve_invariant;
   /// Cross-run cache identity of the representative binding's problem.
   slice::ProblemKey problem_key;
@@ -174,8 +174,8 @@ struct Job {
 
 /// The deduplicated queue plus planning statistics. Jobs are ordered so
 /// that jobs sharing a slice shape (identical member sets) are adjacent:
-/// both engines execute the queue in order, which turns shape-adjacency
-/// directly into warm solver-context reuse.
+/// the engine hands each run of them to one worker in order, which turns
+/// shape-adjacency directly into warm solver-context reuse.
 struct JobPlan {
   std::vector<Job> jobs;
   std::size_t invariant_count = 0;

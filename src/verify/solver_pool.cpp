@@ -99,14 +99,15 @@ SolverSession::WarmBound SolverSession::warm_bind(
 }
 
 SolverPool::SolverPool(std::size_t workers, smt::SolverOptions options,
-                       bool warm) {
+                       bool warm, dataplane::TransferCache* transfers) {
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
   sessions_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    sessions_.push_back(std::make_unique<SolverSession>(options, warm));
+    sessions_.push_back(
+        std::make_unique<SolverSession>(options, warm, transfers));
   }
   stats_.resize(workers);
 }

@@ -51,7 +51,7 @@ class SolverSession {
   /// fresh encoding and solver (the cold baseline the warm path is tested
   /// and benchmarked against). `transfers`, when non-null, is a borrowed
   /// per-scenario transfer memo every encoding built by this session draws
-  /// from (the sequential engine lends its PlanContext cache, so encoding
+  /// from (a one-worker engine lends its PlanContext cache, so encoding
   /// re-walks nothing the planner walked). TransferFunction memos are not
   /// thread-safe: a borrowed cache must only ever be touched from the
   /// thread running this session, so pool workers leave it null and the
@@ -86,8 +86,8 @@ class SolverSession {
   WarmBound escalate_bind();
   void note_escalation_rescued() { ++escalations_rescued_; }
 
-  /// Drops the warm encoding + solver (counters survive). The parallel
-  /// engine calls this at every task boundary so warm reuse is confined to
+  /// Drops the warm encoding + solver (counters survive). The engine
+  /// calls this at every task boundary so warm reuse is confined to
   /// within one task: which tasks land on which worker is a scheduling
   /// race, and cross-task reuse would make solver state - and with it
   /// witness traces - depend on that race instead of only on the plan.
@@ -172,7 +172,7 @@ class SolverSession {
 };
 
 /// Per-worker execution counters, reported in batch results. A "task" is
-/// one unit handed to SolverPool::run - the parallel engine passes groups
+/// one unit handed to SolverPool::run - the engine passes groups
 /// of same-shape jobs as single tasks so warm reuse happens within one
 /// session.
 struct WorkerStats {
@@ -188,8 +188,12 @@ class SolverPool {
  public:
   /// `workers` == 0 picks std::thread::hardware_concurrency(). `warm`
   /// configures every session's context reuse (see SolverSession).
+  /// `transfers` is lent to the session of a one-worker pool, whose tasks
+  /// run on the calling thread (see SolverSession's borrowing contract);
+  /// it must be null when the pool has more workers.
   explicit SolverPool(std::size_t workers, smt::SolverOptions options,
-                      bool warm = true);
+                      bool warm = true,
+                      dataplane::TransferCache* transfers = nullptr);
 
   [[nodiscard]] std::size_t size() const { return sessions_.size(); }
   [[nodiscard]] const std::vector<WorkerStats>& stats() const {
@@ -209,8 +213,8 @@ class SolverPool {
   /// session; blocks until all tasks finish. The first exception thrown by
   /// a task is rethrown here after the pool drains. With a single worker
   /// the tasks run in index order on the calling thread (no thread is
-  /// spawned), which is what makes `--jobs 1` bit-identical to sequential
-  /// runs.
+  /// spawned), which is what lets a one-worker pool borrow the caller's
+  /// single-threaded state.
   void run(std::size_t count,
            const std::function<void(std::size_t, SolverSession&)>& fn);
 

@@ -7,8 +7,8 @@
 // Typical use:
 //
 //   vmn::encode::NetworkModel model = ...;      // topology + middleboxes
-//   vmn::verify::Verifier verifier(model);
-//   auto result = verifier.verify(
+//   vmn::verify::Engine engine(model);
+//   auto result = engine.run_one(
 //       vmn::encode::Invariant::node_isolation(d, s));
 //   if (result.outcome == vmn::verify::Outcome::violated) {
 //     std::cout << result.counterexample->to_string(name_of);
@@ -62,6 +62,5 @@
 #include "smt/solver.hpp"
 #include "verify/engine.hpp"
 #include "verify/job.hpp"
-#include "verify/parallel.hpp"
 #include "verify/solver_pool.hpp"
 #include "verify/verifier.hpp"

@@ -50,9 +50,10 @@ struct TempCacheDir {
   }
 };
 
-ParallelOptions cached_options(const std::string& cache_dir,
+EngineOptions cached_options(const std::string& cache_dir,
                                std::size_t jobs = 2) {
-  ParallelOptions opts;
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = jobs;
   opts.verify.solver.seed = 7;
   opts.verify.cache_dir = cache_dir;
@@ -536,8 +537,8 @@ TEST(ResultCacheBatch, RenamedIsomorphicSpecHitsColdAcrossRuns) {
   }
 }
 
-TEST(ResultCacheBatch, SequentialEngineSharesTheSameCache) {
-  // A cache populated by the pooled path answers the sequential path (and
+TEST(ResultCacheBatch, OneWorkerSharesTheSameCache) {
+  // A cache populated by a two-worker run answers a one-worker run (and
   // vice versa): both consult the same canonical keys.
   scenarios::Enterprise e = make_enterprise_small();
   TempCacheDir dir;
@@ -546,11 +547,11 @@ TEST(ResultCacheBatch, SequentialEngineSharesTheSameCache) {
       Engine(e.model, cached_options(dir.path)).run_batch(e.invariants);
   EXPECT_EQ(cold.cache_hits, 0u);
 
-  VerifyOptions seq_opts;
-  seq_opts.solver.seed = 7;
-  seq_opts.cache_dir = dir.path;
-  Engine sequential(e.model, seq_opts);
-  BatchResult hot = sequential.run_batch(e.invariants, /*use_symmetry=*/true);
+  VerifyOptions one_opts;
+  one_opts.solver.seed = 7;
+  one_opts.cache_dir = dir.path;
+  Engine one_worker(e.model, one_opts);
+  BatchResult hot = one_worker.run_batch(e.invariants, /*use_symmetry=*/true);
   EXPECT_GT(hot.cache_hits, 0u);
   EXPECT_EQ(hot.cache_misses, 0u);
   EXPECT_EQ(hot.solver_calls, 0u);
@@ -587,7 +588,8 @@ TEST(ResultCacheBatch, ConfigEditChangesKeyAndForcesFreshSolve) {
   EXPECT_GT(after.solver_calls, 0u);
   // ...and the verdicts match an uncached run on the edited model exactly
   // (no stale inheritance from the pre-edit cache).
-  ParallelOptions uncached;
+  EngineOptions uncached;
+  uncached.batch = true;
   uncached.jobs = 2;
   uncached.verify.solver.seed = 7;
   BatchResult reference = Engine(e.model, uncached).run_batch(e.invariants);
@@ -608,7 +610,8 @@ TEST(ResultCacheBatch, DisabledCacheLeavesOutcomesIdentical) {
   const scenarios::Batch batch = dc.batch();
   TempCacheDir dir;
 
-  ParallelOptions plain;
+  EngineOptions plain;
+  plain.batch = true;
   plain.jobs = 2;
   plain.verify.solver.seed = 7;
   BatchResult uncached = Engine(dc.model, plain).run_batch(batch.invariants);
@@ -641,7 +644,7 @@ TEST(ResultCacheBatch, UnknownOutcomesAreNeverPersisted) {
   const scenarios::Batch batch = dc.batch();
   TempCacheDir dir;
 
-  ParallelOptions opts = cached_options(dir.path);
+  EngineOptions opts = cached_options(dir.path);
   opts.verify.use_slices = false;  // whole network: decisively too big
   opts.verify.solver.timeout_ms = 1;
   BatchResult r = Engine(dc.model, opts).run_batch(batch.invariants);

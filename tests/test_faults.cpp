@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "scenarios/datacenter.hpp"
 #include "scenarios/enterprise.hpp"
 #include "verify/engine.hpp"
 #include "verify/faults.hpp"
-#include "verify/parallel.hpp"
 #include "verify/result_cache.hpp"
 #include "verify/verifier.hpp"
 
@@ -49,15 +49,16 @@ scenarios::Enterprise small_enterprise(int subnets = 6) {
   return scenarios::make_enterprise(p);
 }
 
-ParallelOptions thread_opts(std::size_t jobs = 2) {
-  ParallelOptions opts;
+EngineOptions thread_opts(std::size_t jobs = 2) {
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = jobs;
   opts.verify.solver.seed = 7;
   return opts;
 }
 
-ParallelOptions process_opts(std::size_t jobs = 2) {
-  ParallelOptions opts = thread_opts(jobs);
+EngineOptions process_opts(std::size_t jobs = 2) {
+  EngineOptions opts = thread_opts(jobs);
   opts.backend = Backend::process;
   return opts;
 }
@@ -216,6 +217,41 @@ TEST(CacheHardening, BitFlippedRecordIsSkippedAndCompactedAway) {
   EXPECT_EQ(compacted.size(), 1u);
 }
 
+// Cache faults bite at every worker count (VerifyOptions::faults): a torn
+// flush on a one-worker run loses its tail record exactly like a pool run.
+class CacheFaultsPerWorkerCount : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CacheFaultsPerWorkerCount, TornFlushLosesTheTailRecord) {
+  scenarios::DatacenterParams p;
+  p.policy_groups = 4;
+  p.clients_per_group = 2;
+  scenarios::Datacenter dc = scenarios::make_datacenter(p);
+  const std::vector<encode::Invariant> invariants = dc.batch().invariants;
+  TempCacheDir dir;
+  EngineOptions opts = thread_opts(1);
+  opts.batch = GetParam();
+  opts.verify.cache_dir = dir.path;
+  opts.verify.faults = FaultPlan::parse("cache-torn-tail=1");
+  const BatchResult torn = Engine(dc.model, opts).run_batch(invariants);
+  EXPECT_GT(torn.cache_misses, 0u);
+
+  opts.verify.faults = FaultPlan{};
+  const BatchResult rerun = Engine(dc.model, opts).run_batch(invariants);
+  EXPECT_EQ(rerun.degradation.cache_records_dropped, 1u);
+  EXPECT_LT(rerun.cache_hits, rerun.pool.jobs_executed);
+  EXPECT_GT(rerun.solver_calls, 0u);
+  ASSERT_EQ(rerun.results.size(), torn.results.size());
+  for (std::size_t i = 0; i < torn.results.size(); ++i) {
+    EXPECT_EQ(rerun.results[i].outcome, torn.results[i].outcome) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchFlag, CacheFaultsPerWorkerCount, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return info.param ? std::string("Batch") : std::string("Default");
+    });
+
 TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   // Job 0 kills whichever worker it lands on. Respawn alone would feed it
   // the whole fleet; crash attribution must quarantine it after
@@ -226,7 +262,7 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   BatchResult reference =
       Engine(e.model, thread_opts()).run_batch(e.invariants);
 
-  ParallelOptions opts = process_opts();
+  EngineOptions opts = process_opts();
   opts.verify.faults = FaultPlan::parse("crash-job=0");
   BatchResult r =
       Engine(e.model, opts).run_batch(e.invariants);
@@ -260,7 +296,7 @@ TEST(Deadline, ExpiryYieldsPartialResultsWithAccurateCounters) {
   // and surface the unanswered invariants as unknown - a partial result,
   // never a hang or a silent drop.
   scenarios::Enterprise e = small_enterprise();
-  ParallelOptions opts = thread_opts();
+  EngineOptions opts = thread_opts();
   opts.deadline = std::chrono::milliseconds(1);
   BatchResult r =
       Engine(e.model, opts).run_batch(e.invariants);
@@ -290,7 +326,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   BatchResult reference =
       Engine(e.model, thread_opts()).run_batch(e.invariants);
 
-  ParallelOptions faulted = thread_opts();
+  EngineOptions faulted = thread_opts();
   faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r =
       Engine(e.model, faulted).run_batch(e.invariants);
@@ -305,7 +341,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // Persistent faults are counted but not rescued: solver-timeout holds
   // at every attempt, so escalation fires and fails, and every verdict
   // stays unknown.
-  ParallelOptions timeouts = thread_opts();
+  EngineOptions timeouts = thread_opts();
   timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
   BatchResult t =
       Engine(e.model, timeouts).run_batch(e.invariants);
@@ -317,7 +353,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
 
   // With escalation disabled the transient faults stick: no retries, all
   // unknown.
-  ParallelOptions off = thread_opts();
+  EngineOptions off = thread_opts();
   off.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   off.verify.escalate_unknown = false;
   BatchResult n =
@@ -328,8 +364,8 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   }
 }
 
-TEST(Escalation, SequentialEngineCountsEscalationsToo) {
-  // The escalation path lives in verify_members, so the sequential engine
+TEST(Escalation, OneWorkerCountsEscalationsToo) {
+  // The escalation path lives in verify_members, so a one-worker run
   // shares it verbatim - same rescue, same counters on BatchResult.
   scenarios::Enterprise e = small_enterprise(4);
   VerifyOptions opts;

@@ -1,5 +1,6 @@
-// Engine tests: agreement with the sequential engine, determinism
-// under a fixed solver seed regardless of worker count, counterexample
+// Engine tests: one-worker and multi-worker runs agree (verdicts, plans,
+// deadline accounting), determinism under a fixed solver seed regardless
+// of worker count, counterexample
 // validity under concurrency, job planning, the SolverPool contract, and
 // the process backend - verdict agreement with the thread backend on every
 // scenario generator, crash-requeue on a killed worker, and the bounded
@@ -19,7 +20,6 @@
 #include "sim/replay.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::verify {
@@ -31,21 +31,26 @@ using mbox::AclEntry;
 using scenarios::Batch;
 using test::OneBoxNet;
 
-ParallelOptions with_jobs(std::size_t jobs) {
-  ParallelOptions opts;
+EngineOptions with_jobs(std::size_t jobs) {
+  EngineOptions opts;
+  opts.batch = true;
   opts.jobs = jobs;
   opts.verify.solver.seed = 7;
   return opts;
 }
 
+/// The default (non --batch) configuration: one worker on the caller's
+/// thread.
+EngineOptions one_worker() {
+  EngineOptions opts;
+  opts.verify.solver.seed = 7;
+  return opts;
+}
+
 void expect_agreement(const encode::NetworkModel& model, const Batch& batch) {
-  VerifyOptions seq_opts;
-  seq_opts.solver.seed = 7;
-  Engine sequential(model, seq_opts);
-  BatchResult expected = sequential.run_batch(batch.invariants,
-                                               /*use_symmetry=*/true);
-  Engine parallel(model, with_jobs(1));
-  BatchResult got = parallel.run_batch(batch.invariants);
+  BatchResult expected =
+      Engine(model, one_worker()).run_batch(batch.invariants);
+  BatchResult got = Engine(model, with_jobs(2)).run_batch(batch.invariants);
   ASSERT_EQ(got.results.size(), expected.results.size());
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
     EXPECT_EQ(got.results[i].outcome, expected.results[i].outcome)
@@ -59,7 +64,7 @@ void expect_agreement(const encode::NetworkModel& model, const Batch& batch) {
   }
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnOneBoxNet) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnOneBoxNet) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::LearningFirewall>(
       "fw",
       std::vector<AclEntry>{AclEntry{Prefix::host(OneBoxNet::addr_a()),
@@ -74,7 +79,7 @@ TEST(Parallel, OneWorkerMatchesSequentialOnOneBoxNet) {
   expect_agreement(n.model, batch);
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnEnterprise) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnEnterprise) {
   scenarios::EnterpriseParams p;
   p.subnets = 4;
   p.hosts_per_subnet = 1;
@@ -82,7 +87,7 @@ TEST(Parallel, OneWorkerMatchesSequentialOnEnterprise) {
   expect_agreement(e.model, e.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnDatacenter) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnDatacenter) {
   scenarios::DatacenterParams p;
   p.policy_groups = 3;
   p.clients_per_group = 1;
@@ -90,7 +95,7 @@ TEST(Parallel, OneWorkerMatchesSequentialOnDatacenter) {
   expect_agreement(dc.model, dc.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredDatacenter) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnMisconfiguredDatacenter) {
   scenarios::DatacenterParams p;
   p.policy_groups = 3;
   p.clients_per_group = 1;
@@ -100,7 +105,7 @@ TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredDatacenter) {
   expect_agreement(dc.model, dc.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnIsp) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnIsp) {
   scenarios::IspParams p;
   p.peering_points = 2;
   p.subnets = 3;
@@ -108,13 +113,13 @@ TEST(Parallel, OneWorkerMatchesSequentialOnIsp) {
   expect_agreement(isp.model, isp.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredIsp) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnMisconfiguredIsp) {
   // Regression: peer hosts share a policy class, so the coarse class
   // signature of the attacked subnet's isolation invariant matches the
   // clean peering point's - but the attack-scenario reroute makes their
   // slices differ, and the violated invariant must NOT inherit "holds"
-  // from the clean representative. Both engines group by the canonical
-  // slice key, which keeps the two checks separate.
+  // from the clean representative. Every worker count groups by the
+  // canonical slice key, which keeps the two checks separate.
   scenarios::IspParams p;
   p.peering_points = 2;
   p.subnets = 3;
@@ -123,7 +128,7 @@ TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredIsp) {
   expect_agreement(isp.model, isp.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnMultiTenant) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnMultiTenant) {
   scenarios::MultiTenantParams p;
   p.tenants = 2;
   p.servers = 2;
@@ -133,12 +138,12 @@ TEST(Parallel, OneWorkerMatchesSequentialOnMultiTenant) {
   expect_agreement(mt.model, mt.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnSegmented) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnSegmented) {
   scenarios::Segmented s = scenarios::make_segmented({});
   expect_agreement(s.model, s.batch());
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnBypassedSegmented) {
+TEST(Parallel, OneWorkerMatchesTwoWorkersOnBypassedSegmented) {
   // The representative-sender workload: only a segment-1 sender witnesses
   // the bypassed IDPS, and expected_holds encodes the whole-network truth.
   scenarios::SegmentedParams p;
@@ -236,11 +241,84 @@ TEST(Parallel, PlanPartitionsTheBatch) {
   EXPECT_DOUBLE_EQ(plan.dedup_hit_rate(), 0.5);
 
   // Without symmetry, one job per invariant.
-  ParallelOptions no_sym = with_jobs(2);
+  EngineOptions no_sym = with_jobs(2);
   no_sym.use_symmetry = false;
   JobPlan flat = Engine(e.model, no_sym).plan(e.invariants);
   EXPECT_EQ(flat.jobs.size(), e.invariants.size());
   EXPECT_EQ(flat.symmetry_hits, 0u);
+}
+
+// --- one worker vs a pool: the same plan, the same deadline ---------------
+
+// plan() is exactly what run_batch executes, at any worker count: after the
+// same call history a one-worker and a two-worker engine hold the same
+// planning state, so they hand back identical plans - job order, encode
+// members, iso images, verdict bindings and cumulative transfer counters.
+TEST(OneWorker, PlansWhatAPoolPlansAfterTheSameCallHistory) {
+  scenarios::DatacenterParams p;
+  p.policy_groups = 4;
+  p.clients_per_group = 2;
+  scenarios::Datacenter dc = scenarios::make_datacenter(p);
+  const Batch batch = dc.batch();
+
+  Engine one(dc.model, one_worker());
+  Engine two(dc.model, with_jobs(2));
+  (void)one.run_batch(batch.invariants);
+  (void)two.run_batch(batch.invariants);
+  const JobPlan a = one.plan(batch.invariants);
+  const JobPlan b = two.plan(batch.invariants);
+
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
+    const Job& ja = a.jobs[j];
+    const Job& jb = b.jobs[j];
+    EXPECT_EQ(ja.id, jb.id) << j;
+    EXPECT_EQ(ja.invariant_index, jb.invariant_index) << j;
+    EXPECT_EQ(ja.encode_members(), jb.encode_members()) << j;
+    ASSERT_EQ(ja.fan_out(), jb.fan_out()) << j;
+    for (std::size_t k = 0; k < ja.fan_out(); ++k) {
+      EXPECT_EQ(ja.binding(k).invariant_index, jb.binding(k).invariant_index)
+          << j << "/" << k;
+      EXPECT_EQ(*ja.binding(k).iso_image, *jb.binding(k).iso_image)
+          << j << "/" << k;
+      EXPECT_EQ(*ja.binding(k).inheritors, *jb.binding(k).inheritors)
+          << j << "/" << k;
+    }
+  }
+  EXPECT_EQ(a.iso_mapped, b.iso_mapped);
+  EXPECT_EQ(a.iso_verdict_merged, b.iso_verdict_merged);
+  EXPECT_EQ(a.transfer_builds, b.transfer_builds);
+  EXPECT_EQ(a.transfer_reuses, b.transfer_reuses);
+  // The second pass reuses the first batch's memo: nothing is rebuilt.
+  const JobPlan again = one.plan(batch.invariants);
+  EXPECT_EQ(again.transfer_builds, a.transfer_builds);
+  EXPECT_GT(again.transfer_reuses, a.transfer_reuses);
+}
+
+// The deadline binds one worker exactly as it binds a pool: a 1 ms budget
+// expires during planning, every planned job is accounted as abandoned to
+// an unknown verdict, and no invariant is dropped.
+TEST(OneWorker, HonoursTheDeadline) {
+  scenarios::EnterpriseParams p;
+  p.subnets = 6;
+  p.hosts_per_subnet = 1;
+  scenarios::Enterprise e = scenarios::make_enterprise(p);
+  EngineOptions opts = one_worker();
+  opts.deadline = std::chrono::milliseconds(1);
+  BatchResult r = Engine(e.model, opts).run_batch(e.invariants);
+
+  EXPECT_TRUE(r.degradation.deadline_expired);
+  EXPECT_TRUE(r.degradation.degraded());
+  EXPECT_GE(r.degradation.deadline_abandoned, 1u);
+  EXPECT_EQ(r.pool.jobs_abandoned, r.degradation.deadline_abandoned);
+  EXPECT_EQ(r.degradation.completed + r.degradation.deadline_abandoned,
+            r.pool.jobs_executed);
+  ASSERT_EQ(r.results.size(), e.invariants.size());
+  std::size_t unknowns = 0;
+  for (const VerifyResult& res : r.results) {
+    if (res.outcome == Outcome::unknown) ++unknowns;
+  }
+  EXPECT_GE(unknowns, r.degradation.deadline_abandoned);
 }
 
 // --- warm solving ----------------------------------------------------------
@@ -251,9 +329,9 @@ TEST(Parallel, PlanPartitionsTheBatch) {
 // mixed holds/violated batches.
 void expect_warm_matches_cold(const encode::NetworkModel& model,
                               const Batch& batch) {
-  ParallelOptions warm = with_jobs(2);
+  EngineOptions warm = with_jobs(2);
   ASSERT_TRUE(warm.verify.warm_solving);  // the default
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   cold.verify.warm_solving = false;
 
   BatchResult warm_r =
@@ -372,10 +450,10 @@ TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
 
-  ParallelOptions warm = with_jobs(1);
+  EngineOptions warm = with_jobs(1);
   warm.verify.use_slices = false;
   warm.verify.solver.timeout_ms = 1;
-  ParallelOptions cold = warm;
+  EngineOptions cold = warm;
   cold.verify.warm_solving = false;
 
   BatchResult warm_r =
@@ -393,8 +471,8 @@ TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
   EXPECT_EQ(cold_r.warm_reuses, 0u);
 }
 
-TEST(WarmSolving, SequentialBatchReusesOneSessionAcrossSameShapeJobs) {
-  // Three invariants over the same three-node slice: the sequential engine
+TEST(WarmSolving, OneWorkerBatchReusesOneSessionAcrossSameShapeJobs) {
+  // Three invariants over the same three-node slice: a one-worker run
   // must build the base encoding once and answer the remaining jobs on the
   // reused context (seed behavior: a fresh session per representative).
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::LearningFirewall>(
@@ -406,16 +484,14 @@ TEST(WarmSolving, SequentialBatchReusesOneSessionAcrossSameShapeJobs) {
   std::vector<Invariant> invariants = {Invariant::node_isolation(n.a, n.b),
                                        Invariant::flow_isolation(n.a, n.b),
                                        Invariant::reachable(n.b, n.a)};
-  VerifyOptions opts;
-  opts.solver.seed = 7;
-  Engine v(n.model, opts);
+  Engine v(n.model, one_worker());
   BatchResult batch = v.run_batch(invariants, /*use_symmetry=*/true);
   EXPECT_EQ(batch.warm_binds, 1u);
   EXPECT_EQ(batch.warm_reuses, 2u);
 
-  // A 1-worker parallel run hands the whole shape-run to one warm session;
-  // with more workers than shape-runs the run is split to restore fan-out
-  // (warm reuse traded for concurrency), so every job gets its own context.
+  // --batch --jobs 1 is the same one-worker schedule; with more workers
+  // than shape-runs the run is split to restore fan-out (warm reuse traded
+  // for concurrency), so every job gets its own context.
   BatchResult pr =
       Engine(n.model, with_jobs(1)).run_batch(invariants);
   EXPECT_EQ(pr.warm_binds, 1u);
@@ -452,7 +528,7 @@ TEST(Planner, OrdersSameShapeJobsAdjacently) {
   p.policy_groups = 4;
   p.clients_per_group = 2;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  ParallelOptions no_sym = with_jobs(2);
+  EngineOptions no_sym = with_jobs(2);
   no_sym.use_symmetry = false;  // keep every invariant: more shape repeats
   JobPlan plan = Engine(dc.model, no_sym).plan(dc.batch().invariants);
   // Equal member sets must form contiguous runs (what the engines turn
@@ -485,8 +561,8 @@ TEST(IsoWarm, DatacenterBatchRebindsIsomorphicSlices) {
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
 
-  ParallelOptions warm = with_jobs(2);
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions warm = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   cold.verify.warm_solving = false;
   BatchResult warm_r =
       Engine(dc.model, warm).run_batch(batch.invariants);
@@ -536,7 +612,7 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   EXPECT_EQ(warm_r.solver_calls, 1u);
   EXPECT_EQ(warm_r.iso_verdict_reuses, warm_r.pool.jobs_executed - 1);
 
-  ParallelOptions cold_opts = with_jobs(2);
+  EngineOptions cold_opts = with_jobs(2);
   cold_opts.verify.warm_solving = false;
   BatchResult cold_r = Engine(dc.model, cold_opts).run_batch(isolation);
   EXPECT_EQ(cold_r.solver_calls, cold_r.pool.jobs_executed);
@@ -548,12 +624,10 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
     EXPECT_EQ(warm_r.results[i].raw_status, cold_r.results[i].raw_status) << i;
   }
 
-  // The sequential engine shares the planner, so the same batch collapses
+  // A one-worker run executes the same plan, so the same batch collapses
   // to one solve there too.
-  VerifyOptions seq;
-  seq.solver.seed = 7;
-  BatchResult seq_r =
-      Engine(dc.model, seq).run_batch(isolation, /*use_symmetry=*/true);
+  BatchResult seq_r = Engine(dc.model, one_worker())
+                          .run_batch(isolation, /*use_symmetry=*/true);
   EXPECT_EQ(seq_r.solver_calls, 1u);
   EXPECT_GE(seq_r.pool.jobs_executed, 8u);
   for (std::size_t i = 0; i < seq_r.results.size(); ++i) {
@@ -561,8 +635,8 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   }
 }
 
-TEST(IsoWarm, SequentialEngineEncodesWithZeroTransferBuilds) {
-  // The sequential engine lends its PlanContext transfer memo to the solver
+TEST(IsoWarm, OneWorkerEncodesWithZeroTransferBuilds) {
+  // A one-worker engine lends its PlanContext transfer memo to the solver
   // session: by encode time the planner has walked every in-budget
   // scenario, so the encoder builds NOTHING - the acceptance bar for
   // "zero duplicate TransferFunction builds during encoding". The
@@ -573,17 +647,19 @@ TEST(IsoWarm, SequentialEngineEncodesWithZeroTransferBuilds) {
   p.clients_per_group = 1;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
-  VerifyOptions opts;
-  opts.solver.seed = 7;
-  Engine v(dc.model, opts);
-  BatchResult r = v.run_batch(batch.invariants, /*use_symmetry=*/true);
-  EXPECT_EQ(r.encode_transfer_builds, 0u);
-  EXPECT_GT(r.encode_transfer_reuses, 0u);
-  EXPECT_GT(r.iso_verdict_reuses, 0u);
-  for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
-    const Outcome expected =
-        batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
-    EXPECT_EQ(r.results[i].outcome, expected) << i;
+  // The worker count decides, not the --batch flag: --jobs 1 lends too.
+  for (const EngineOptions& opts : {one_worker(), with_jobs(1)}) {
+    SCOPED_TRACE(opts.batch ? "--batch --jobs 1" : "default");
+    Engine v(dc.model, opts);
+    BatchResult r = v.run_batch(batch.invariants, /*use_symmetry=*/true);
+    EXPECT_EQ(r.encode_transfer_builds, 0u);
+    EXPECT_GT(r.encode_transfer_reuses, 0u);
+    EXPECT_GT(r.iso_verdict_reuses, 0u);
+    for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
+      const Outcome expected =
+          batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
+      EXPECT_EQ(r.results[i].outcome, expected) << i;
+    }
   }
 }
 
@@ -596,7 +672,7 @@ TEST(IsoWarm, ThreadWorkersNeverBuildATransferFunctionTwice) {
   p.clients_per_group = 2;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
-  ParallelOptions opts = with_jobs(2);
+  EngineOptions opts = with_jobs(2);
   BatchResult r =
       Engine(dc.model, opts).run_batch(batch.invariants);
   const std::size_t scenarios = dc.model.network().scenarios().size();
@@ -693,8 +769,8 @@ TEST(IsoWarm, RelabeledWitnessNamesTheActualSlicesHosts) {
 // trace leaking through).
 BatchResult expect_transfer_matches_cold(const encode::NetworkModel& model,
                                          const Batch& batch) {
-  ParallelOptions merged = with_jobs(2);
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions merged = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   EXPECT_TRUE(merged.verify.merge_isomorphic);  // the default
   cold.verify.warm_solving = false;
 
@@ -784,8 +860,8 @@ TEST(IsoVerdictTransfer, MatchesColdOnBypassedSegmented) {
 
 // --- process backend --------------------------------------------------------
 
-ParallelOptions process_opts(std::size_t jobs) {
-  ParallelOptions opts = with_jobs(jobs);
+EngineOptions process_opts(std::size_t jobs) {
+  EngineOptions opts = with_jobs(jobs);
   opts.backend = Backend::process;
   return opts;
 }
@@ -906,9 +982,9 @@ TEST(ProcessBackend, AgreesWithThreadOnBypassedSegmented) {
 // property the thread backend's WarmSolving suite pins.
 void expect_process_warm_matches_cold(const encode::NetworkModel& model,
                                       const Batch& batch) {
-  ParallelOptions warm = process_opts(2);
+  EngineOptions warm = process_opts(2);
   ASSERT_TRUE(warm.verify.warm_solving);  // the default
-  ParallelOptions cold = process_opts(2);
+  EngineOptions cold = process_opts(2);
   cold.verify.warm_solving = false;
   BatchResult warm_r =
       Engine(model, warm).run_batch(batch.invariants);

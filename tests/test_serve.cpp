@@ -2,7 +2,7 @@
 // core the Server event loop wraps - so every assertion runs in-process:
 //  - verdict parity: the daemon's VERDICT answers equal a one-shot
 //    verify::Engine run on the same spec text, across all five scenario
-//    generators and across sequential / thread-pool / process-pool engines;
+//    generators and across one-worker / thread-pool / process-pool runs;
 //  - incremental reload: an edit confined to one segment of segmented.vmn
 //    re-solves only the slices whose canonical keys changed (cache hits for
 //    the untouched segment, counter-asserted) and retires exactly the
@@ -73,14 +73,14 @@ std::string token(const std::string& line, std::size_t n) {
   return t;
 }
 
-EngineOptions sequential_opts() {
+EngineOptions one_worker_opts() {
   EngineOptions e;
   e.verify.solver.seed = 7;
   return e;
 }
 
 EngineOptions pooled_opts(Backend backend) {
-  EngineOptions e = sequential_opts();
+  EngineOptions e = one_worker_opts();
   e.batch = true;
   e.jobs = 2;
   e.backend = backend;
@@ -173,7 +173,7 @@ std::string random_text() {
 }
 
 TEST(ServeParity, MatchesOneShotAcrossAllFiveGenerators) {
-  const EngineOptions eopts = sequential_opts();
+  const EngineOptions eopts = one_worker_opts();
   expect_parity("datacenter", datacenter_text(), eopts);
   expect_parity("enterprise", enterprise_text(), eopts);
   expect_parity("isp", isp_text(), eopts);
@@ -248,8 +248,8 @@ void expect_incremental_segment_edit(const EngineOptions& eopts) {
   }
 }
 
-TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysSequential) {
-  expect_incremental_segment_edit(sequential_opts());
+TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysOneWorker) {
+  expect_incremental_segment_edit(one_worker_opts());
 }
 
 TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysThreadPool) {
@@ -268,7 +268,7 @@ TEST(ServeIncremental, InvariantOnlyEditAnswersOldJobsFromCache) {
 
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
   const std::size_t cold_jobs = state.last_batch().pool.jobs_executed;
   ASSERT_GT(cold_jobs, 0u);
@@ -299,7 +299,7 @@ TEST(ServeIncremental, PureRenameReloadAnswersEntirelyFromCache) {
 
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
   const BatchResult& cold = state.last_batch();
   const std::size_t cold_jobs = cold.pool.jobs_executed;
@@ -354,7 +354,7 @@ TEST(ServeProtocol, VerdictByIndexAndByDescriptionAgree) {
   write_file(path, read_file(segmented_path()));
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
 
   const std::string by_index = state.handle_line("VERDICT 0");
@@ -377,7 +377,7 @@ TEST(ServeProtocol, MalformedLinesAnswerErrWithoutKillingTheDaemon) {
   write_file(path, read_file(segmented_path()));
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
 
   const std::vector<std::string> bad = {
@@ -409,7 +409,7 @@ TEST(ServeProtocol, BrokenSaveKeepsTheOldGenerationServing) {
   write_file(path, original);
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
 
   write_file(path, "host h 10.0.0.1\nroute nonsense\n");
@@ -444,7 +444,7 @@ TEST(ServeProtocol, StatsReportsUnifiedCountersAsJson) {
   write_file(path, read_file(segmented_path()));
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = sequential_opts();
+  sopts.engine = one_worker_opts();
   ServeState state(sopts);
 
   const std::string resp = state.handle_line("STATS");

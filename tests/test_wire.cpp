@@ -27,7 +27,6 @@
 #include "scenarios/multitenant.hpp"
 #include "slice/policy.hpp"
 #include "slice/symmetry.hpp"
-#include "verify/parallel.hpp"
 #include "verify/solver_pool.hpp"
 #include "verify/engine.hpp"
 #include "verify/verifier.hpp"
@@ -232,7 +231,8 @@ TEST(WirePayloads, EveryTruncationOfAPayloadThrows) {
 /// own problem produces.
 void expect_jobs_roundtrip(const encode::NetworkModel& model,
                            const Batch& batch, int max_failures = 0) {
-  ParallelOptions popts;
+  EngineOptions popts;
+  popts.batch = true;
   popts.jobs = 1;
   popts.verify.solver.seed = 7;
   popts.verify.max_failures = max_failures;
@@ -320,7 +320,8 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 /// persistent cache cold.
 void expect_problem_keys_survive(const encode::NetworkModel& model,
                                  const Batch& batch, int max_failures = 0) {
-  ParallelOptions popts;
+  EngineOptions popts;
+  popts.batch = true;
   popts.jobs = 1;
   popts.verify.solver.seed = 7;
   popts.verify.max_failures = max_failures;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The tier-1 gate, as one command: configure, build, run every test suite,
-# then smoke-test the batch modes on the shipped enterprise spec - the
+# The tier-1 gate, as one command: lint, configure, build, run every test
+# suite, then smoke-test the batch modes on the shipped enterprise spec -
+# the default one-worker run (verdicts must match a 2-worker batch), the
 # cached rerun, the process backend (verdicts must match the thread
 # backend), a worker killed mid-batch (the batch must still complete with
 # every invariant answered), and the fault-injection harness (a
@@ -43,6 +44,19 @@ if grep -En "(policy_fingerprint|encoding_projection)[^;]*\)[^;]*(const)?[^;]*ov
   exit 1
 fi
 
+echo "--- lint: one batch executor (a single result-cache lookup site) ---"
+# Engine::run_batch is the only batch executor: every worker count runs
+# the same cache pass, fan-out and aggregation. A second result-cache
+# lookup under src/verify/ is how a second executor loop grows back.
+lookups="$(grep -En 'cache_?(\.|->)lookup\(' \
+    "$repo"/src/verify/*.hpp "$repo"/src/verify/*.cpp || true)"
+if [ "$(printf '%s' "$lookups" | grep -c .)" -gt 1 ]; then
+  echo "$lookups" >&2
+  echo "ci: result-cache lookups in more than one place under src/verify/;" \
+       "extend Engine::run_batch (src/verify/engine.cpp) instead" >&2
+  exit 1
+fi
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
@@ -75,6 +89,15 @@ echo "--- smoke: parallel batch verify (enterprise spec, 2 workers) ---"
 thread_out="$("$build/vmn" verify "$spec" --batch --jobs 2)"
 echo "$thread_out"
 thread_verdicts="$(echo "$thread_out" | verdicts)"
+
+echo "--- smoke: default run agrees with the 2-worker batch ---"
+# Without --batch the same executor runs on one worker; its verdict lines
+# must be identical to the pool's.
+default_out="$("$build/vmn" verify "$spec")"
+if ! diff <(echo "$thread_verdicts") <(echo "$default_out" | verdicts); then
+  echo "ci: one-worker verdicts disagree with --batch --jobs 2" >&2
+  exit 1
+fi
 
 echo "--- smoke: cached batch re-verification (2 workers, persistent cache) ---"
 cache_dir="$(mktemp -d)"

@@ -79,7 +79,7 @@
 // All flag parsing goes through cli::OptionSet (src/cli/options.hpp):
 // strict numerics, --name value and --name=value, per-subcommand --help.
 // All verification goes through verify::Engine (src/verify/engine.hpp);
-// this file never constructs a Verifier or ParallelVerifier.
+// this file never plans or solves on its own.
 #include <unistd.h>
 
 #include <chrono>
@@ -225,7 +225,7 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
           return false;
         }
         engine.deadline = std::chrono::milliseconds(ms);
-        engine.batch = true;  // the deadline is a batch-engine feature
+        engine.batch = true;  // the batch summary reports the expiry
         return true;
       });
   set.add_flag("--no-escalate", "disable the unknown-escalation retry",
