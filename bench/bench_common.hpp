@@ -18,11 +18,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "encode/invariant.hpp"
+#include "verify/counters.hpp"
 #include "verify/engine.hpp"
 
 namespace vmn::bench {
@@ -160,15 +163,22 @@ inline double verify_expecting(benchmark::State& state,
   return runs != 0 ? total_ms / static_cast<double>(runs) : 0;
 }
 
-/// Solve-latency tail of a batch as record values: nearest-rank p50/p95
-/// and max of the per-solver-call times (ms), straight off the pool's
-/// TimingHistogram. Benchmarks merge these into their BENCH_*.json records
-/// so the trajectory pins the tail, not just the mean wall time.
-inline void add_solve_percentiles(std::map<std::string, double>& values,
-                                  const verify::TimingHistogram& h) {
-  values["solve_p50_ms"] = static_cast<double>(h.percentile(50).count());
-  values["solve_p95_ms"] = static_cast<double>(h.percentile(95).count());
-  values["solve_max_ms"] = static_cast<double>(h.percentile(100).count());
+/// Reports a batch result: the counter-table rows `names` of `r` (see
+/// verify/counters.hpp - the names STATS and the CLI summary use) plus the
+/// bench-local `extra` values land in BENCH_*.json under `record`, and
+/// each one is mirrored as a Google Benchmark counter.
+inline void report(benchmark::State& state, const std::string& record,
+                   const verify::BatchResult& r,
+                   std::initializer_list<std::string_view> names,
+                   std::map<std::string, double> extra = {}) {
+  for (std::string_view name : names) {
+    extra[std::string(name)] =
+        static_cast<double>(verify::counter_value(r, name));
+  }
+  for (const auto& [key, value] : extra) {
+    state.counters[key] = benchmark::Counter(value);
+  }
+  BenchJson::instance().record(record, extra);
 }
 
 /// Verifies a whole invariant list (the "verify the entire network" mode of

@@ -54,8 +54,8 @@ Datacenter make() {
 // speedup counter can be derived without a separate manual run.
 std::map<bool, double> baseline_ms;
 
-double run_batch(const Datacenter& dc, std::size_t workers,
-                 bool use_symmetry, benchmark::State& state) {
+verify::BatchResult run_batch(const Datacenter& dc, std::size_t workers,
+                              bool use_symmetry, benchmark::State& state) {
   EngineOptions opts;
   opts.batch = true;
   opts.jobs = workers;
@@ -69,33 +69,34 @@ double run_batch(const Datacenter& dc, std::size_t workers,
         batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
     if (r.results[i].outcome != expected) {
       state.SkipWithError("unexpected outcome in parallel batch");
-      return 0.0;
+      return {};
     }
   }
-  state.counters["jobs_executed"] =
-      benchmark::Counter(static_cast<double>(r.pool.jobs_executed));
-  state.counters["dedup_hit_rate"] = benchmark::Counter(r.pool.dedup_hit_rate);
-  return static_cast<double>(r.total_time.count());
+  return r;
 }
 
 void scaling_bench(benchmark::State& state, bool use_symmetry) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   Datacenter dc = make();
-  double wall_ms = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
-    wall_ms = run_batch(dc, workers, use_symmetry, state);
-    benchmark::DoNotOptimize(wall_ms);
+    last = run_batch(dc, workers, use_symmetry, state);
+    benchmark::DoNotOptimize(last);
   }
+  const auto wall_ms = static_cast<double>(last.total_time.count());
   if (workers == 1) baseline_ms[use_symmetry] = wall_ms;
   const double base = baseline_ms[use_symmetry];
   const double speedup = base > 0 && wall_ms > 0 ? base / wall_ms : 0.0;
-  state.counters["speedup_vs_1"] = benchmark::Counter(speedup);
-  state.counters["hw_threads"] = benchmark::Counter(
-      static_cast<double>(std::thread::hardware_concurrency()));
-  bench::BenchJson::instance().record(
+  bench::report(
+      state,
       std::string("scaling/") + (use_symmetry ? "dedup" : "independent") +
           "/workers=" + std::to_string(workers),
-      {{"wall_ms", wall_ms}, {"speedup_vs_1", speedup}});
+      last, {"jobs_executed"},
+      {{"wall_ms", wall_ms},
+       {"speedup_vs_1", speedup},
+       {"dedup_hit_rate", last.pool.dedup_hit_rate},
+       {"hw_threads",
+        static_cast<double>(std::thread::hardware_concurrency())}});
 }
 
 void BM_ParallelScaling_Independent(benchmark::State& state) {
@@ -176,9 +177,8 @@ void BM_BatchFastPath(benchmark::State& state) {
   }
 
   Engine v(dc.model, opts);
-  double wall_ms = 0, plan_ms = 0, cache_hits = 0, warm_reuses = 0,
-         solver_calls = 0;
-  std::map<std::string, double> solve_tail;
+  double wall_ms = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
     const auto wall_start = std::chrono::steady_clock::now();
     verify::BatchResult r = v.run_batch(batch.invariants);
@@ -193,30 +193,16 @@ void BM_BatchFastPath(benchmark::State& state) {
         return;
       }
     }
-    plan_ms = static_cast<double>(r.plan_time.count());
-    cache_hits = static_cast<double>(r.cache_hits);
-    warm_reuses = static_cast<double>(r.warm_reuses);
-    solver_calls = static_cast<double>(r.solver_calls);
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
   if (mode == kCold) cold_wall_ms = wall_ms;
   const double speedup =
       cold_wall_ms > 0 && wall_ms > 0 ? cold_wall_ms / wall_ms : 0.0;
-  state.counters["plan_ms"] = benchmark::Counter(plan_ms);
-  state.counters["cache_hits"] = benchmark::Counter(cache_hits);
-  state.counters["warm_reuses"] = benchmark::Counter(warm_reuses);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
-  state.counters["speedup_vs_cold"] = benchmark::Counter(speedup);
-  std::map<std::string, double> values = {{"wall_ms", wall_ms},
-                                          {"plan_ms", plan_ms},
-                                          {"cache_hits", cache_hits},
-                                          {"warm_reuses", warm_reuses},
-                                          {"solver_calls", solver_calls},
-                                          {"speedup_vs_cold", speedup}};
-  values.insert(solve_tail.begin(), solve_tail.end());
-  bench::BenchJson::instance().record(
-      std::string("fastpath/") + mode_name(mode), values);
+  bench::report(state, std::string("fastpath/") + mode_name(mode), last,
+                {"plan_ms", "cache_hits", "warm_reuses", "solver_calls",
+                 "solve_p50_ms", "solve_p95_ms", "solve_max_ms"},
+                {{"wall_ms", wall_ms}, {"speedup_vs_cold", speedup}});
 }
 BENCHMARK(BM_BatchFastPath)
     ->Arg(kCold)->Arg(kWarm)->Arg(kCached)
@@ -252,10 +238,8 @@ void BM_IsoWarm(benchmark::State& state) {
   opts.verify.solver.seed = 1;
   opts.verify.warm_solving = warm;
   Engine v(dc.model, opts);
-  double wall_ms = 0, plan_ms = 0, iso_mapped = 0, iso_reuses = 0,
-         iso_verdicts = 0, solver_calls = 0, planned_jobs = 0, warm_binds = 0,
-         enc_builds = 0, enc_reuses = 0;
-  std::map<std::string, double> solve_tail;
+  double wall_ms = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
     const auto wall_start = std::chrono::steady_clock::now();
     verify::BatchResult r = v.run_batch(batch.invariants);
@@ -279,44 +263,22 @@ void BM_IsoWarm(benchmark::State& state) {
       state.SkipWithError("cold baseline performed iso rebinding");
       return;
     }
-    plan_ms = static_cast<double>(r.plan_time.count());
-    iso_mapped = static_cast<double>(r.iso_mapped);
-    iso_reuses = static_cast<double>(r.iso_reuses);
-    iso_verdicts = static_cast<double>(r.iso_verdict_reuses);
-    solver_calls = static_cast<double>(r.solver_calls);
-    planned_jobs = static_cast<double>(r.pool.jobs_executed);
-    warm_binds = static_cast<double>(r.warm_binds);
-    enc_builds = static_cast<double>(r.encode_transfer_builds);
-    enc_reuses = static_cast<double>(r.encode_transfer_reuses);
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
   static double iso_cold_wall_ms = 0;  // Arg(0) registers (and runs) first
   if (!warm) iso_cold_wall_ms = wall_ms;
   const double speedup =
       iso_cold_wall_ms > 0 && wall_ms > 0 ? iso_cold_wall_ms / wall_ms : 0.0;
-  state.counters["iso_mapped"] = benchmark::Counter(iso_mapped);
-  state.counters["iso_reuses"] = benchmark::Counter(iso_reuses);
-  state.counters["iso_verdict_reuses"] = benchmark::Counter(iso_verdicts);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
-  state.counters["warm_binds"] = benchmark::Counter(warm_binds);
-  state.counters["encode_transfer_builds"] = benchmark::Counter(enc_builds);
-  state.counters["speedup_vs_cold"] = benchmark::Counter(speedup);
-  std::map<std::string, double> values = {
-      {"wall_ms", wall_ms},
-      {"plan_ms", plan_ms},
-      {"iso_mapped", iso_mapped},
-      {"iso_reuses", iso_reuses},
-      {"iso_verdict_reuses", iso_verdicts},
-      {"solver_calls", solver_calls},
-      {"planned_jobs", planned_jobs},
-      {"warm_binds", warm_binds},
-      {"encode_transfer_builds", enc_builds},
-      {"encode_transfer_reuses", enc_reuses},
-      {"speedup_vs_cold", speedup}};
-  values.insert(solve_tail.begin(), solve_tail.end());
-  bench::BenchJson::instance().record(
-      std::string("isowarm/") + (warm ? "warm" : "cold"), values);
+  bench::report(
+      state, std::string("isowarm/") + (warm ? "warm" : "cold"), last,
+      {"plan_ms", "iso_mapped", "iso_reuses", "iso_verdict_reuses",
+       "solver_calls", "warm_binds", "encode_transfer_builds",
+       "encode_transfer_reuses", "solve_p50_ms", "solve_p95_ms",
+       "solve_max_ms"},
+      {{"wall_ms", wall_ms},
+       {"planned_jobs", static_cast<double>(last.pool.jobs_executed)},
+       {"speedup_vs_cold", speedup}});
 }
 BENCHMARK(BM_IsoWarm)
     ->Arg(0)->Arg(1)
@@ -346,10 +308,7 @@ void BM_Fig8Batch(benchmark::State& state) {
   opts.jobs = 2;
   opts.verify.solver.seed = 1;
   Engine v(mt.model, opts);
-  double wall_ms = 0, planned_jobs = 0, solver_calls = 0, iso_verdicts = 0,
-         blocked_merges = 0, dedup_rate = 0;
-  std::map<std::string, double> per_box_blocked;
-  std::map<std::string, double> solve_tail;
+  verify::BatchResult last;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
@@ -360,38 +319,25 @@ void BM_Fig8Batch(benchmark::State& state) {
         return;
       }
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    planned_jobs = static_cast<double>(r.pool.jobs_executed);
-    solver_calls = static_cast<double>(r.solver_calls);
-    iso_verdicts = static_cast<double>(r.iso_verdict_reuses);
-    dedup_rate = r.pool.dedup_hit_rate;
-    blocked_merges = 0;
-    per_box_blocked.clear();
-    for (const verify::MergeBlocker& b : r.pool.merge_blockers) {
-      blocked_merges += static_cast<double>(b.count);
-      // Per-box breakdown: structural refusals (no box type) land in
-      // "structural" so the blocked_merges_* keys always sum to the total.
-      const std::string box = b.box_type.empty() ? "structural" : b.box_type;
-      per_box_blocked["blocked_merges_" + box] +=
-          static_cast<double>(b.count);
-    }
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["planned_jobs"] = benchmark::Counter(planned_jobs);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
-  state.counters["iso_verdict_reuses"] = benchmark::Counter(iso_verdicts);
-  state.counters["blocked_merges"] = benchmark::Counter(blocked_merges);
   std::map<std::string, double> values = {
-      {"wall_ms", wall_ms},
-      {"planned_jobs", planned_jobs},
-      {"solver_calls", solver_calls},
-      {"iso_verdict_reuses", iso_verdicts},
-      {"blocked_merges", blocked_merges},
-      {"dedup_rate", dedup_rate}};
-  values.insert(per_box_blocked.begin(), per_box_blocked.end());
-  values.insert(solve_tail.begin(), solve_tail.end());
-  bench::BenchJson::instance().record("fig8/batch", values);
+      {"wall_ms", static_cast<double>(last.total_time.count())},
+      {"planned_jobs", static_cast<double>(last.pool.jobs_executed)},
+      {"blocked_merges", 0.0},
+      {"dedup_rate", last.pool.dedup_hit_rate}};
+  for (const verify::MergeBlocker& b : last.pool.merge_blockers) {
+    values["blocked_merges"] += static_cast<double>(b.count);
+    // Per-box breakdown: structural refusals (no box type) land in
+    // "structural" so the blocked_merges_* keys always sum to the total.
+    const std::string box = b.box_type.empty() ? "structural" : b.box_type;
+    values["blocked_merges_" + box] += static_cast<double>(b.count);
+  }
+  bench::report(state, "fig8/batch", last,
+                {"solver_calls", "iso_verdict_reuses", "solve_p50_ms",
+                 "solve_p95_ms", "solve_max_ms"},
+                std::move(values));
 }
 BENCHMARK(BM_Fig8Batch)->Unit(benchmark::kMillisecond)->Iterations(1);
 
@@ -473,8 +419,8 @@ void BM_FaultQuarantine(benchmark::State& state) {
   opts.backend = verify::Backend::process;
   opts.verify.faults = verify::FaultPlan::parse("crash-job=0");
   Engine v(dc.model, opts);
-  double wall_ms = 0, quarantined = 0, abandoned = 0, crashed = 0,
-         respawned = 0, unknowns = 0, dropped = 0;
+  double unknowns = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     unknowns = 0;
@@ -494,27 +440,14 @@ void BM_FaultQuarantine(benchmark::State& state) {
       state.SkipWithError("crash-looping job was not quarantined");
       return;
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    quarantined = static_cast<double>(r.degradation.quarantined);
-    abandoned = static_cast<double>(r.pool.jobs_abandoned);
-    crashed = static_cast<double>(r.pool.workers_crashed);
-    respawned = static_cast<double>(r.degradation.workers_respawned);
-    dropped = static_cast<double>(r.degradation.cache_records_dropped);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["quarantined"] = benchmark::Counter(quarantined);
-  state.counters["workers_crashed"] = benchmark::Counter(crashed);
-  state.counters["workers_respawned"] = benchmark::Counter(respawned);
-  state.counters["unknown_verdicts"] = benchmark::Counter(unknowns);
-  bench::BenchJson::instance().record(
-      "faults/quarantine",
-      {{"wall_ms", wall_ms},
-       {"quarantined", quarantined},
-       {"jobs_abandoned", abandoned},
-       {"workers_crashed", crashed},
-       {"workers_respawned", respawned},
-       {"unknown_verdicts", unknowns},
-       {"cache_records_dropped", dropped}});
+  bench::report(state, "faults/quarantine", last,
+                {"quarantined", "jobs_abandoned", "workers_crashed",
+                 "workers_respawned", "cache_records_dropped"},
+                {{"wall_ms", static_cast<double>(last.total_time.count())},
+                 {"unknown_verdicts", unknowns}});
 }
 BENCHMARK(BM_FaultQuarantine)->Unit(benchmark::kMillisecond)->Iterations(1);
 
@@ -527,7 +460,8 @@ void BM_FaultEscalation(benchmark::State& state) {
   opts.verify.solver.seed = 1;
   opts.verify.faults = verify::FaultPlan::parse("solver-unknown=1");
   Engine v(dc.model, opts);
-  double wall_ms = 0, escalations = 0, rescued = 0, unknowns = 0;
+  double unknowns = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     unknowns = 0;
@@ -543,20 +477,13 @@ void BM_FaultEscalation(benchmark::State& state) {
         return;
       }
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    escalations = static_cast<double>(r.degradation.escalations);
-    rescued = static_cast<double>(r.degradation.escalations_rescued);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["escalations"] = benchmark::Counter(escalations);
-  state.counters["escalations_rescued"] = benchmark::Counter(rescued);
-  state.counters["unknown_verdicts"] = benchmark::Counter(unknowns);
-  bench::BenchJson::instance().record(
-      "faults/escalation",
-      {{"wall_ms", wall_ms},
-       {"escalations", escalations},
-       {"escalations_rescued", rescued},
-       {"unknown_verdicts", unknowns}});
+  bench::report(state, "faults/escalation", last,
+                {"escalations", "escalations_rescued"},
+                {{"wall_ms", static_cast<double>(last.total_time.count())},
+                 {"unknown_verdicts", unknowns}});
 }
 BENCHMARK(BM_FaultEscalation)->Unit(benchmark::kMillisecond)->Iterations(1);
 

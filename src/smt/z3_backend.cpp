@@ -3,8 +3,12 @@
 #include <z3++.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <limits>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +27,53 @@ using logic::SortPtr;
 using logic::Term;
 using logic::TermKind;
 using logic::TermPtr;
+
+/// Wall-clock backstop for one Z3 check. Z3's own "timeout" parameter can
+/// be lost: its timer thread sometimes misses the wake-up that arms it
+/// (seen with Z3 4.8.12 on the first timed check of a process), and a
+/// check whose timer is lost runs unbounded - forever on a quantified
+/// problem MBQI cannot close. The watchdog interrupts the context once the
+/// deadline passes, then again every kRetry until the check returns,
+/// because an interrupt that lands before Z3 has installed its cancel
+/// handler is dropped. An interrupted check reports unknown, as a
+/// timed-out one does. `fired` is set once the watchdog has interrupted;
+/// read it after the destructor has run.
+class Watchdog {
+ public:
+  static constexpr std::chrono::milliseconds kRetry{10};
+
+  Watchdog(z3::context& ctx, std::chrono::steady_clock::time_point deadline,
+           bool& fired)
+      : thread_([this, &ctx, deadline, &fired] {
+          run(ctx, deadline, fired);
+        }) {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  void run(z3::context& ctx, std::chrono::steady_clock::time_point when,
+           bool& fired) {
+    std::unique_lock<std::mutex> lk(mu_);
+    while (!cv_.wait_until(lk, when, [this] { return done_; })) {
+      fired = true;
+      ctx.interrupt();
+      when = std::chrono::steady_clock::now() + kRetry;
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  ///< last: starts once the members it reads exist
+};
 
 class Z3Solver final : public Solver {
  public:
@@ -61,7 +112,22 @@ class Z3Solver final : public Solver {
 
   CheckStatus check() override {
     const auto start = std::chrono::steady_clock::now();
-    z3::check_result r = solver_.check();
+    z3::check_result r = z3::unknown;
+    const std::uint32_t ms = options_.timeout_ms;
+    if (ms == 0 || ms == std::numeric_limits<std::uint32_t>::max()) {
+      r = solver_.check();  // Z3 reads both as "no time limit"
+    } else {
+      bool interrupted = false;
+      {
+        const Watchdog watchdog(ctx_, start + std::chrono::milliseconds(ms),
+                                interrupted);
+        r = solver_.check();
+      }
+      // An interrupt that lands after the check returned leaves the whole
+      // context cancelled (push, eval and simplify throw) until the next
+      // check, which clears it: run one on an empty solver.
+      if (interrupted) (void)z3::solver(ctx_).check();
+    }
     last_time_ = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
     switch (r) {

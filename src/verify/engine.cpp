@@ -272,24 +272,11 @@ BatchResult Engine::run_batch(
     }
     ProcessPool pool(options_.verify.solver, options_.verify.warm_solving,
                      popts);
-    ProcessDispatch dispatch =
-        pool.run(wire_jobs, std::move(process_groups));
-    out.pool.workers = dispatch.workers;
-    out.pool.workers_spawned = dispatch.workers_spawned;
-    out.pool.workers_crashed = dispatch.workers_crashed;
-    out.pool.jobs_requeued = dispatch.jobs_requeued;
-    out.pool.jobs_abandoned = dispatch.jobs_abandoned;
-    out.degradation.quarantined = dispatch.jobs_quarantined;
-    out.degradation.deadline_abandoned = dispatch.jobs_deadline_abandoned;
-    out.degradation.abandoned_retries = dispatch.jobs_abandoned -
-                                        dispatch.jobs_quarantined -
-                                        dispatch.jobs_deadline_abandoned;
-    out.degradation.workers_respawned = dispatch.workers_respawned;
-    out.degradation.deadline_expired = dispatch.deadline_expired;
-    out.degradation.reasons = std::move(dispatch.reasons);
+    const std::vector<std::optional<wire::WireResult>> answers = pool.run(
+        wire_jobs, std::move(process_groups), out.pool, out.degradation);
     for (std::size_t k = 0; k < to_solve.size(); ++k) {
-      if (dispatch.results[k].has_value()) {
-        const wire::WireResult& r = *dispatch.results[k];
+      if (answers[k].has_value()) {
+        const wire::WireResult& r = *answers[k];
         try {
           job_results[to_solve[k]] =
               wire::to_verify_result(model_->network(), r);
@@ -305,13 +292,7 @@ BatchResult Engine::run_batch(
               " abandoned: result names nodes unknown to this model");
           continue;
         }
-        out.warm_binds += r.warm_binds;
-        out.warm_reuses += r.warm_reuses;
-        out.iso_reuses += r.iso_reuses;
-        out.encode_transfer_builds += r.encode_transfer_builds;
-        out.encode_transfer_reuses += r.encode_transfer_reuses;
-        out.degradation.escalations += r.escalations;
-        out.degradation.escalations_rescued += r.escalations_rescued;
+        out += r.counters;
         solved.insert(to_solve[k]);
       }
       // Abandoned jobs keep the default-constructed unknown VerifyResult;
@@ -355,14 +336,7 @@ BatchResult Engine::run_batch(
     });
     out.pool.workers = pool.stats();
     for (std::size_t w = 0; w < pool.size(); ++w) {
-      out.warm_binds += pool.session(w).binds();
-      out.warm_reuses += pool.session(w).warm_reuses();
-      out.iso_reuses += pool.session(w).iso_reuses();
-      out.encode_transfer_builds += pool.session(w).encode_transfer_builds();
-      out.encode_transfer_reuses += pool.session(w).encode_transfer_reuses();
-      out.degradation.escalations += pool.session(w).escalations();
-      out.degradation.escalations_rescued +=
-          pool.session(w).escalations_rescued();
+      out += pool.session(w).counters();
     }
     for (std::size_t k = 0; k < to_solve.size(); ++k) {
       if (skipped[k] == 0) solved.insert(to_solve[k]);

@@ -285,14 +285,15 @@ std::chrono::milliseconds respawn_backoff(std::uint64_t seed, std::size_t slot,
   return std::chrono::milliseconds{static_cast<long long>(ms + jitter)};
 }
 
-std::string DegradationReport::summary() const {
+std::string DegradationReport::summary(
+    const SessionCounters& counters) const {
   std::ostringstream out;
   out << completed << " completed, " << abandoned_retries << " abandoned, "
       << quarantined << " quarantined, " << deadline_abandoned
       << " past deadline";
-  if (escalations > 0) {
-    out << "; " << escalations << " escalated (" << escalations_rescued
-        << " rescued)";
+  if (counters.escalations > 0) {
+    out << "; " << counters.escalations << " escalated ("
+        << counters.escalations_rescued << " rescued)";
   }
   if (workers_respawned > 0) out << "; " << workers_respawned << " respawned";
   if (cache_records_dropped > 0) {

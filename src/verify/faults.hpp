@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "verify/counters.hpp"
+
 namespace vmn::verify {
 
 /// Declarative fault schedule. Probabilities are per-opportunity (e.g.
@@ -175,10 +177,6 @@ struct DegradationReport {
   std::size_t quarantined = 0;
   /// Jobs never attempted because the --deadline expired.
   std::size_t deadline_abandoned = 0;
-  /// Unknown verdicts retried with escalated timeout + perturbed seed.
-  std::size_t escalations = 0;
-  /// Escalated retries that came back definitive.
-  std::size_t escalations_rescued = 0;
   /// Workers respawned after a crash or hang.
   std::size_t workers_respawned = 0;
   /// Cache records dropped: corrupt/torn lines refused on load (rest of
@@ -196,8 +194,9 @@ struct DegradationReport {
     return deadline_expired || abandoned_retries > 0 || quarantined > 0 ||
            deadline_abandoned > 0;
   }
-  /// One-line summary for CLI output and logs.
-  [[nodiscard]] std::string summary() const;
+  /// One-line summary for CLI output and logs; the escalation traffic
+  /// comes from the batch's session counters.
+  [[nodiscard]] std::string summary(const SessionCounters& counters) const;
 };
 
 }  // namespace vmn::verify

@@ -211,6 +211,8 @@ enum class AbandonCause { retries, quarantine, deadline, no_workers };
 
 /// Everything the per-worker dispatcher threads share, under one mutex.
 struct DispatchState {
+  DispatchState(PoolStats& p, DegradationReport& d) : pool(p), degradation(d) {}
+
   std::mutex mu;
   std::condition_variable cv;
   std::deque<ProcessGroup> queue;
@@ -220,14 +222,9 @@ struct DispatchState {
   std::vector<int> crash_kills;
   std::size_t outstanding = 0;  ///< jobs neither answered nor abandoned
   std::size_t alive_workers = 0;
-  std::size_t workers_crashed = 0;
-  std::size_t workers_respawned = 0;
-  std::size_t jobs_requeued = 0;
-  std::size_t jobs_abandoned = 0;
-  std::size_t jobs_quarantined = 0;
-  std::size_t jobs_deadline = 0;
-  bool deadline_expired = false;
-  std::vector<std::string> reasons;
+  /// The batch's accounting (ProcessPool::run's out-parameters).
+  PoolStats& pool;
+  DegradationReport& degradation;
 };
 
 /// Locked helper: abandon one undone job. Never overwrites an existing
@@ -235,9 +232,14 @@ struct DispatchState {
 void abandon_locked(DispatchState& state, std::size_t job_index,
                     AbandonCause cause) {
   if (state.results[job_index].has_value()) return;
-  ++state.jobs_abandoned;
-  if (cause == AbandonCause::quarantine) ++state.jobs_quarantined;
-  if (cause == AbandonCause::deadline) ++state.jobs_deadline;
+  ++state.pool.jobs_abandoned;
+  if (cause == AbandonCause::quarantine) {
+    ++state.degradation.quarantined;
+  } else if (cause == AbandonCause::deadline) {
+    ++state.degradation.deadline_abandoned;
+  } else {
+    ++state.degradation.abandoned_retries;
+  }
   --state.outstanding;
 }
 
@@ -255,7 +257,7 @@ void requeue_or_abandon_locked(DispatchState& state,
     if (state.results[job_index].has_value()) continue;
     if (state.attempts[job_index] >= max_attempts) {
       abandon_locked(state, job_index, AbandonCause::retries);
-      state.reasons.push_back(
+      state.degradation.reasons.push_back(
           "job " + std::to_string(jobs[job_index].id) + " abandoned after " +
           std::to_string(state.attempts[job_index]) + " attempts");
     } else {
@@ -263,7 +265,7 @@ void requeue_or_abandon_locked(DispatchState& state,
     }
   }
   if (!retry.jobs.empty()) {
-    state.jobs_requeued += retry.jobs.size();
+    state.pool.jobs_requeued += retry.jobs.size();
     state.queue.push_back(std::move(retry));
   }
 }
@@ -287,14 +289,15 @@ void drain_deadline_locked(DispatchState& state,
     }
     state.queue.pop_front();
   }
-  if (!state.deadline_expired) {
-    state.deadline_expired = true;
-    state.reasons.push_back("deadline expired with " +
-                            std::to_string(drained) +
-                            " jobs not yet attempted");
+  if (!state.degradation.deadline_expired) {
+    state.degradation.deadline_expired = true;
+    state.degradation.reasons.push_back(
+        "deadline expired with " + std::to_string(drained) +
+        " jobs not yet attempted");
   } else if (drained > 0) {
-    state.reasons.push_back("deadline drain: " + std::to_string(drained) +
-                            " more jobs not attempted");
+    state.degradation.reasons.push_back(
+        "deadline drain: " + std::to_string(drained) +
+        " more jobs not attempted");
   }
 }
 
@@ -304,11 +307,12 @@ ProcessPool::ProcessPool(smt::SolverOptions solver, bool warm_solving,
                          ProcessPoolOptions options)
     : solver_(solver), warm_(warm_solving), options_(std::move(options)) {}
 
-ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
-                                 std::vector<ProcessGroup> groups) const {
-  ProcessDispatch out;
-  out.results.resize(jobs.size());
-  if (jobs.empty() || groups.empty()) return out;
+std::vector<std::optional<wire::WireResult>> ProcessPool::run(
+    const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
+    PoolStats& pool, DegradationReport& degradation) const {
+  DispatchState state(pool, degradation);
+  state.results.resize(jobs.size());
+  if (jobs.empty() || groups.empty()) return std::move(state.results);
 
   std::size_t requested = options_.workers != 0
                               ? options_.workers
@@ -356,10 +360,8 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   // one incarnation, not its slot forever.
   std::atomic<std::uint32_t> next_ordinal{
       static_cast<std::uint32_t>(procs.size())};
-  out.workers.resize(procs.size());
+  pool.workers.resize(procs.size());
 
-  DispatchState state;
-  state.results.resize(jobs.size());
   state.attempts.resize(jobs.size(), 0);
   state.crash_kills.resize(jobs.size(), 0);
   for (ProcessGroup& group : groups) {
@@ -370,15 +372,16 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
 
   if (procs.empty()) {
     // Nothing to dispatch on: every job is abandoned, loudly.
-    out.jobs_abandoned = state.outstanding;
-    out.reasons.push_back("no workers could be spawned");
+    pool.jobs_abandoned += state.outstanding;
+    degradation.abandoned_retries += state.outstanding;
+    degradation.reasons.push_back("no workers could be spawned");
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
-    return out;
+    return std::move(state.results);
   }
 
   auto drive = [&](std::size_t slot) {
     WorkerProc& proc = procs[slot];
-    WorkerStats& stats = out.workers[slot];
+    WorkerStats& stats = pool.workers[slot];
     std::uint32_t ordinal = static_cast<std::uint32_t>(slot);
     std::size_t respawns_used = 0;
 
@@ -490,7 +493,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
       bool work_remains = false;
       {
         std::lock_guard<std::mutex> lk(state.mu);
-        ++state.workers_crashed;
+        ++state.pool.workers_crashed;
         // Crash-loop attribution: charge the death to the job that was in
         // flight; a job that keeps killing workers is quarantined instead
         // of requeued, so it can never eat the whole fleet's respawn
@@ -499,7 +502,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
           const std::size_t victim = *in_flight;
           if (++state.crash_kills[victim] >= quarantine_kills) {
             abandon_locked(state, victim, AbandonCause::quarantine);
-            state.reasons.push_back(
+            state.degradation.reasons.push_back(
                 "job " + std::to_string(jobs[victim].id) +
                 " quarantined after killing " +
                 std::to_string(state.crash_kills[victim]) + " workers");
@@ -529,7 +532,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
         workers_spawned.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lk(state.mu);
-          ++state.workers_respawned;
+          ++state.degradation.workers_respawned;
         }
         respawned = true;
         break;
@@ -550,9 +553,9 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
           state.queue.pop_front();
         }
         if (drained > 0) {
-          state.reasons.push_back("no surviving workers: " +
-                                  std::to_string(drained) +
-                                  " queued jobs abandoned");
+          state.degradation.reasons.push_back(
+              "no surviving workers: " + std::to_string(drained) +
+              " queued jobs abandoned");
         }
       }
       state.cv.notify_all();
@@ -569,17 +572,8 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   for (std::thread& t : threads) t.join();
   ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
-  out.results = std::move(state.results);
-  out.workers_spawned = workers_spawned.load();
-  out.workers_crashed = state.workers_crashed;
-  out.workers_respawned = state.workers_respawned;
-  out.jobs_requeued = state.jobs_requeued;
-  out.jobs_abandoned = state.jobs_abandoned;
-  out.jobs_quarantined = state.jobs_quarantined;
-  out.jobs_deadline_abandoned = state.jobs_deadline;
-  out.deadline_expired = state.deadline_expired;
-  out.reasons = std::move(state.reasons);
-  return out;
+  pool.workers_spawned += workers_spawned.load();
+  return std::move(state.results);
 }
 
 }  // namespace vmn::verify

@@ -98,41 +98,22 @@ struct ProcessGroup {
   std::vector<std::size_t> jobs;
 };
 
-struct ProcessDispatch {
-  /// Aligned with the job vector; nullopt marks an abandoned job.
-  std::vector<std::optional<wire::WireResult>> results;
-  std::vector<WorkerStats> workers;
-  /// Workers ever spawned (initial fleet + respawned replacements).
-  std::size_t workers_spawned = 0;
-  std::size_t workers_crashed = 0;
-  /// Replacement workers spawned after a crash or hang.
-  std::size_t workers_respawned = 0;
-  /// Jobs re-dispatched after a worker crash/hang or a worker-side error.
-  std::size_t jobs_requeued = 0;
-  /// Jobs that exhausted max_attempts or outlived every worker - a
-  /// superset: quarantined and deadline-abandoned jobs count here too.
-  std::size_t jobs_abandoned = 0;
-  /// Of the abandoned: jobs quarantined by crash-loop attribution.
-  std::size_t jobs_quarantined = 0;
-  /// Of the abandoned: jobs never attempted because the deadline expired.
-  std::size_t jobs_deadline_abandoned = 0;
-  /// The batch deadline expired before the queue drained.
-  bool deadline_expired = false;
-  /// One human-readable line per degradation event (quarantine, retry
-  /// exhaustion, deadline expiry, fleet loss).
-  std::vector<std::string> reasons;
-};
-
 class ProcessPool {
  public:
   ProcessPool(smt::SolverOptions solver, bool warm_solving,
               ProcessPoolOptions options);
 
   /// Dispatches every group, blocking until each job is answered or
-  /// abandoned. Thread-safe against nothing: call from one thread, before
-  /// spawning unrelated threads (fork() is involved).
-  [[nodiscard]] ProcessDispatch run(const std::vector<wire::WireJob>& jobs,
-                                    std::vector<ProcessGroup> groups) const;
+  /// abandoned; the results align with `jobs`, nullopt marking an abandoned
+  /// job. The fan-out's accounting is counted straight into the batch's
+  /// `pool` (workers, spawns, crashes, requeues, abandonments) and
+  /// `degradation` (quarantines, retry and deadline abandonments,
+  /// respawns, deadline expiry, one reason per event). Thread-safe against
+  /// nothing: call from one thread, before spawning unrelated threads
+  /// (fork() is involved).
+  [[nodiscard]] std::vector<std::optional<wire::WireResult>> run(
+      const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
+      PoolStats& pool, DegradationReport& degradation) const;
 
   [[nodiscard]] const ProcessPoolOptions& options() const { return options_; }
 

@@ -255,24 +255,13 @@ std::string ServeState::cmd_stats() const {
      << ",\"violated\":" << c.violated
      << ",\"unknown\":" << c.unknown
      << ",\"degraded\":" << (b.degradation.degraded() ? "true" : "false")
-     << ",\"batch\":{"
-     << "\"jobs_executed\":" << b.pool.jobs_executed
-     << ",\"symmetry_hits\":" << b.pool.symmetry_hits
-     << ",\"conservative_splits\":" << b.pool.conservative_splits
-     << ",\"solver_calls\":" << b.solver_calls
-     << ",\"plan_ms\":" << b.plan_time.count()
-     << ",\"total_ms\":" << b.total_time.count()
-     << ",\"cache_hits\":" << b.cache_hits
-     << ",\"cache_misses\":" << b.cache_misses
-     << ",\"cache_records_dropped\":" << b.degradation.cache_records_dropped
-     << ",\"warm_binds\":" << b.warm_binds
-     << ",\"warm_reuses\":" << b.warm_reuses
-     << ",\"iso_mapped\":" << b.iso_mapped
-     << ",\"iso_reuses\":" << b.iso_reuses
-     << ",\"encode_transfer_builds\":" << b.encode_transfer_builds
-     << ",\"encode_transfer_reuses\":" << b.encode_transfer_reuses
-     << ",\"escalations\":" << b.degradation.escalations
-     << "}"
+     << ",\"batch\":{";
+  const char* sep = "";
+  for (const CounterRow& row : counter_table()) {
+    os << sep << '"' << row.name << "\":" << row.get(b);
+    sep = ",";
+  }
+  os << "}"
      << ",\"lifetime\":{"
      << "\"batches\":" << stats_.batches
      << ",\"reloads\":" << stats_.reloads

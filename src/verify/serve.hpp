@@ -19,7 +19,8 @@
 //   RELOAD              -> OK reloaded generation=G <diff summary> |
 //                          OK unchanged generation=G |
 //                          ERR parse: <message>   (old generation serves on)
-//   STATS               -> OK <single-line JSON of the unified counters>
+//   STATS               -> OK <single-line JSON of the unified counters;
+//                          "batch" holds verify::counter_table()'s rows>
 //
 // Anything else answers `ERR <reason>` and the connection stays up -
 // malformed input never kills the daemon.

@@ -25,7 +25,7 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   if (warm_model_ == nullptr) {
     throw Error("escalate_bind without a preceding warm_bind");
   }
-  ++escalations_;
+  ++counters_.escalations;
   smt::SolverOptions esc = options_;
   const std::uint64_t mult =
       resilience_.escalation_timeout_mult > 0
@@ -46,8 +46,8 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   eopts.transfers = transfers;
   esc_encoding_ = std::make_unique<encode::Encoding>(
       *warm_model_, warm_members_, eopts);
-  encode_transfer_builds_ += esc_encoding_->transfer_builds();
-  encode_transfer_reuses_ += esc_encoding_->transfer_reuses();
+  counters_.encode_transfer_builds += esc_encoding_->transfer_builds();
+  counters_.encode_transfer_reuses += esc_encoding_->transfer_reuses();
   esc_solver_ = smt::make_z3_solver(esc_encoding_->vocab(), esc);
   for (const encode::Axiom& axiom : esc_encoding_->axioms()) {
     esc_solver_->add(axiom.term);
@@ -64,7 +64,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   members.erase(std::unique(members.begin(), members.end()), members.end());
   if (warm_ && encoding_ != nullptr && warm_model_ == &model &&
       warm_failures_ == max_failures && warm_members_ == members) {
-    ++warm_reuses_;
+    ++counters_.warm_reuses;
     return WarmBound{*encoding_, *solver_, true};
   }
   // Per-scenario transfer memo for the new encoding: the borrowed cache
@@ -85,8 +85,8 @@ SolverSession::WarmBound SolverSession::warm_bind(
   eopts.transfers = transfers;
   encoding_ =
       std::make_unique<encode::Encoding>(model, std::move(members), eopts);
-  encode_transfer_builds_ += encoding_->transfer_builds();
-  encode_transfer_reuses_ += encoding_->transfer_reuses();
+  counters_.encode_transfer_builds += encoding_->transfer_builds();
+  counters_.encode_transfer_reuses += encoding_->transfer_reuses();
   warm_model_ = &model;
   warm_failures_ = max_failures;
   warm_members_ = encoding_->members();
@@ -94,7 +94,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   for (const encode::Axiom& axiom : encoding_->axioms()) {
     solver_->add(axiom.term);
   }
-  ++binds_;
+  ++counters_.warm_binds;
   return WarmBound{*encoding_, *solver_, false};
 }
 

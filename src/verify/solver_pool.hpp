@@ -28,6 +28,7 @@
 #include "encode/encoder.hpp"
 #include "logic/builder.hpp"
 #include "smt/solver.hpp"
+#include "verify/counters.hpp"
 #include "verify/faults.hpp"
 
 namespace vmn::verify {
@@ -84,7 +85,7 @@ class SolverSession {
   /// follow a warm_bind (asserts on the warm shape being set). Counts one
   /// escalation; callers report a rescue via note_escalation_rescued.
   WarmBound escalate_bind();
-  void note_escalation_rescued() { ++escalations_rescued_; }
+  void note_escalation_rescued() { ++counters_.escalations_rescued; }
 
   /// Drops the warm encoding + solver (counters survive). The engine
   /// calls this at every task boundary so warm reuse is confined to
@@ -104,28 +105,13 @@ class SolverSession {
   void reset_warm(bool keep_transfers = false);
 
   [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
-  /// Number of solver contexts built (cold binds + warm misses).
-  [[nodiscard]] std::size_t binds() const { return binds_; }
-  /// Number of warm_bind calls answered by the live context.
-  [[nodiscard]] std::size_t warm_reuses() const { return warm_reuses_; }
-  /// Of the warm reuses, how many served a job whose own member set
-  /// differs from the live encoding's (cross-isomorphic reuse: the job was
-  /// rebound onto an isomorphic representative's base encoding; see
-  /// verify::IsoBinding). Incremented by verify_members via note_iso_reuse.
-  [[nodiscard]] std::size_t iso_reuses() const { return iso_reuses_; }
-  void note_iso_reuse() { ++iso_reuses_; }
-  /// Transfer functions built by this session's encodings vs answered by a
-  /// cache (the borrowed one, or the session-owned per-model cache). With
-  /// warm caches, a scenario's fabric walks happen at most once per
-  /// session no matter how many encodings it builds - "builds" beyond the
-  /// distinct in-budget scenarios would be the duplicate work this counter
-  /// pair exists to rule out.
-  [[nodiscard]] std::size_t encode_transfer_builds() const {
-    return encode_transfer_builds_;
-  }
-  [[nodiscard]] std::size_t encode_transfer_reuses() const {
-    return encode_transfer_reuses_;
-  }
+  /// Everything this session has counted since construction (binds, warm
+  /// and cross-isomorphic reuse, encode-time transfer traffic,
+  /// escalations); reset_warm leaves it alone.
+  [[nodiscard]] const SessionCounters& counters() const { return counters_; }
+  /// Marks the last warm reuse as cross-isomorphic (called by
+  /// verify_members for iso-rebound jobs).
+  void note_iso_reuse() { ++counters_.iso_reuses; }
 
   /// Robustness policy (fault injection + unknown escalation). Set once
   /// before the session solves; decisions are pure functions of the plan,
@@ -136,11 +122,6 @@ class SolverSession {
   [[nodiscard]] const SessionResilience& resilience() const {
     return resilience_;
   }
-  /// Escalated retries attempted / of those, answered definitively.
-  [[nodiscard]] std::size_t escalations() const { return escalations_; }
-  [[nodiscard]] std::size_t escalations_rescued() const {
-    return escalations_rescued_;
-  }
 
  private:
   smt::SolverOptions options_;
@@ -149,14 +130,8 @@ class SolverSession {
   /// Session-owned fallback memo, rebuilt when the model changes.
   std::unique_ptr<dataplane::TransferCache> owned_transfers_;
   std::unique_ptr<smt::Solver> solver_;
-  std::size_t binds_ = 0;
-  std::size_t warm_reuses_ = 0;
-  std::size_t iso_reuses_ = 0;
-  std::size_t encode_transfer_builds_ = 0;
-  std::size_t encode_transfer_reuses_ = 0;
+  SessionCounters counters_;
   SessionResilience resilience_;
-  std::size_t escalations_ = 0;
-  std::size_t escalations_rescued_ = 0;
   /// Escalation context (escalate_bind): separate from the warm pair so
   /// the escalated options die with the retry.
   std::unique_ptr<encode::Encoding> esc_encoding_;
@@ -199,7 +174,7 @@ class SolverPool {
   [[nodiscard]] const std::vector<WorkerStats>& stats() const {
     return stats_;
   }
-  /// Worker `i`'s session (for aggregating bind/warm-reuse counters).
+  /// Worker `i`'s session (for aggregating its counters).
   [[nodiscard]] const SolverSession& session(std::size_t i) const {
     return *sessions_[i];
   }

@@ -24,6 +24,7 @@
 #include "slice/slice.hpp"
 #include "slice/symmetry.hpp"
 #include "smt/solver.hpp"
+#include "verify/counters.hpp"
 #include "verify/job.hpp"
 #include "verify/result_cache.hpp"
 #include "verify/solver_pool.hpp"
@@ -151,9 +152,11 @@ struct PoolStats {
 };
 
 /// The batch-verification result the Engine returns: per-invariant
-/// verdicts plus the unified counter set, with plan/pool diagnostics nested
-/// in `pool` and failure accounting in `degradation`.
-struct BatchResult {
+/// verdicts plus the unified counter set (the summed SessionCounters of
+/// every worker, the fields below, and the counter_table() naming them
+/// all), with plan/pool diagnostics nested in `pool` and failure
+/// accounting in `degradation`.
+struct BatchResult : SessionCounters {
   std::vector<VerifyResult> results;  ///< aligned with the invariant list
   /// Actual solver invocations: planned jobs minus cache hits.
   std::size_t solver_calls = 0;
@@ -170,34 +173,21 @@ struct BatchResult {
   /// cold, cross-run.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Warm-solving effectiveness: base encodings built cold vs jobs
-  /// answered on a reused live context.
-  std::size_t warm_binds = 0;
-  std::size_t warm_reuses = 0;
   /// Jobs the planner rebound onto an isomorphic representative's base
-  /// encoding (Job::iso_image) and, of those, the ones a live context
-  /// answered warm - the cross-isomorphic reuse the canonical-key dedup
-  /// cannot reach because the verdicts must stay separate.
+  /// encoding (Job::iso_image); the ones a live context answered warm
+  /// count as iso_reuses - the cross-isomorphic reuse the canonical-key
+  /// dedup cannot reach because the verdicts must stay separate.
   std::size_t iso_mapped = 0;
-  std::size_t iso_reuses = 0;
   /// Verdicts answered by replaying another binding's solve through a
   /// planner-verified bijection (equivalence-class merging): for every
   /// solver call with fan-out N whose bindings the cache did not answer,
   /// N-1 of the N verdicts count here. The datacenter batch's "8 planned
   /// jobs, 1 solver call" shows up as iso_verdict_reuses == 7.
   std::size_t iso_verdict_reuses = 0;
-  /// Transfer functions built by encoders vs served from a warm memo
-  /// during encoding (see SolverSession::encode_transfer_builds): with the
-  /// borrowed/per-session caches in place, no scenario's fabric walks ever
-  /// run twice for the same session - a one-worker run, lending the
-  /// planner's own memo, encodes with zero builds at all.
-  std::size_t encode_transfer_builds = 0;
-  std::size_t encode_transfer_reuses = 0;
   /// How (and whether) the batch degraded: respawns, quarantines,
-  /// escalation traffic (escalations / escalations_rescued), dropped
-  /// cache records, deadline expiry, and one human-readable reason per
-  /// event. `degradation.degraded()` drives the CLI's "incomplete" exit
-  /// code.
+  /// dropped cache records, deadline expiry, and one human-readable
+  /// reason per event. `degradation.degraded()` drives the CLI's
+  /// "incomplete" exit code.
   DegradationReport degradation;
   /// Plan and fan-out diagnostics (see PoolStats).
   PoolStats pool;

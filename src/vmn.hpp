@@ -60,6 +60,7 @@
 #include "slice/slice.hpp"
 #include "slice/symmetry.hpp"
 #include "smt/solver.hpp"
+#include "verify/counters.hpp"
 #include "verify/engine.hpp"
 #include "verify/job.hpp"
 #include "verify/solver_pool.hpp"

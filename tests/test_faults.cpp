@@ -314,7 +314,7 @@ TEST(Deadline, ExpiryYieldsPartialResultsWithAccurateCounters) {
     if (res.outcome == Outcome::unknown) ++unknowns;
   }
   EXPECT_GE(unknowns, r.degradation.deadline_abandoned);
-  const std::string summary = r.degradation.summary();
+  const std::string summary = r.degradation.summary(r);
   EXPECT_NE(summary.find("deadline expired"), std::string::npos);
 }
 
@@ -330,8 +330,8 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r =
       Engine(e.model, faulted).run_batch(e.invariants);
-  EXPECT_EQ(r.degradation.escalations, r.pool.jobs_executed);
-  EXPECT_EQ(r.degradation.escalations_rescued, r.degradation.escalations);
+  EXPECT_EQ(r.escalations, r.pool.jobs_executed);
+  EXPECT_EQ(r.escalations_rescued, r.escalations);
   EXPECT_FALSE(r.degradation.degraded());  // every verdict recovered
   ASSERT_EQ(r.results.size(), reference.results.size());
   for (std::size_t i = 0; i < r.results.size(); ++i) {
@@ -345,8 +345,8 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
   BatchResult t =
       Engine(e.model, timeouts).run_batch(e.invariants);
-  EXPECT_EQ(t.degradation.escalations, t.pool.jobs_executed);
-  EXPECT_EQ(t.degradation.escalations_rescued, 0u);
+  EXPECT_EQ(t.escalations, t.pool.jobs_executed);
+  EXPECT_EQ(t.escalations_rescued, 0u);
   for (const VerifyResult& res : t.results) {
     EXPECT_EQ(res.outcome, Outcome::unknown);
   }
@@ -358,7 +358,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   off.verify.escalate_unknown = false;
   BatchResult n =
       Engine(e.model, off).run_batch(e.invariants);
-  EXPECT_EQ(n.degradation.escalations, 0u);
+  EXPECT_EQ(n.escalations, 0u);
   for (const VerifyResult& res : n.results) {
     EXPECT_EQ(res.outcome, Outcome::unknown);
   }
@@ -372,8 +372,8 @@ TEST(Escalation, OneWorkerCountsEscalationsToo) {
   opts.solver.seed = 7;
   opts.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r = Engine(e.model, opts).run_batch(e.invariants, true);
-  EXPECT_GT(r.degradation.escalations, 0u);
-  EXPECT_EQ(r.degradation.escalations_rescued, r.degradation.escalations);
+  EXPECT_GT(r.escalations, 0u);
+  EXPECT_EQ(r.escalations_rescued, r.escalations);
   for (const VerifyResult& res : r.results) {
     EXPECT_NE(res.outcome, Outcome::unknown);
   }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <atomic>
 #include <set>
+#include <string_view>
 
 #include "mbox/firewall.hpp"
 #include "scenarios/datacenter.hpp"
@@ -19,6 +20,7 @@
 #include "scenarios/segmented.hpp"
 #include "sim/replay.hpp"
 #include "util.hpp"
+#include "verify/counters.hpp"
 #include "verify/engine.hpp"
 #include "verify/verifier.hpp"
 
@@ -254,6 +256,30 @@ TEST(Parallel, PlanPartitionsTheBatch) {
 // same call history a one-worker and a two-worker engine hold the same
 // planning state, so they hand back identical plans - job order, encode
 // members, iso images, verdict bindings and cumulative transfer counters.
+TEST(CounterTable, NamesEverySessionCounterOnceWithItsValue) {
+  BatchResult r;
+  std::size_t value = 1;
+  for (const SessionField& f : kSessionFields) r.*f.field = value++;
+  std::set<std::string_view> names;
+  for (const CounterRow& row : counter_table()) {
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate " << row.name;
+  }
+  for (const SessionField& f : kSessionFields) {
+    EXPECT_EQ(names.count(f.name), 1u) << f.name;
+    EXPECT_EQ(counter_value(r, f.name), r.*f.field) << f.name;
+  }
+  EXPECT_THROW((void)counter_value(r, "no_such_counter"), Error);
+
+  // += and - are field-wise inverses.
+  SessionCounters sum = r;
+  sum += r;
+  const SessionCounters back = sum - r;
+  for (const SessionField& f : kSessionFields) {
+    EXPECT_EQ(sum.*f.field, 2 * (r.*f.field)) << f.name;
+    EXPECT_EQ(back.*f.field, r.*f.field) << f.name;
+  }
+}
+
 TEST(OneWorker, PlansWhatAPoolPlansAfterTheSameCallHistory) {
   scenarios::DatacenterParams p;
   p.policy_groups = 4;
@@ -443,7 +469,8 @@ TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
   // Whole-network checks under a 1 ms budget: both paths should report
   // unknown (skip if this machine somehow solves them in time). All jobs
   // share the full-network shape, so this also exercises warm reuse across
-  // a run of unknowns.
+  // a run of unknowns. Planned without symmetry: verdict merging would
+  // otherwise fold the batch into one solver job, leaving nothing to reuse.
   scenarios::DatacenterParams p;
   p.policy_groups = 3;
   p.clients_per_group = 1;
@@ -456,10 +483,11 @@ TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
   EngineOptions cold = warm;
   cold.verify.warm_solving = false;
 
-  BatchResult warm_r =
-      Engine(dc.model, warm).run_batch(batch.invariants);
-  BatchResult cold_r =
-      Engine(dc.model, cold).run_batch(batch.invariants);
+  BatchResult warm_r = Engine(dc.model, warm)
+                           .run_batch(batch.invariants, /*use_symmetry=*/false);
+  BatchResult cold_r = Engine(dc.model, cold)
+                           .run_batch(batch.invariants, /*use_symmetry=*/false);
+  ASSERT_GE(warm_r.solver_calls, 2u);  // unmerged same-shape jobs
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
     if (warm_r.results[i].outcome != Outcome::unknown ||
         cold_r.results[i].outcome != Outcome::unknown) {

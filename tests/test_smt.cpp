@@ -151,6 +151,27 @@ TEST_F(SmtTest, TimeoutReportsUnknownOrSolves) {
               st == CheckStatus::sat);
 }
 
+TEST_F(SmtTest, TimedOutChecksLeaveTheSolverUsable) {
+  // Stopping a check at its deadline must not leave the context
+  // cancelled: the warm path pushes, asserts and pops right after.
+  SolverOptions opts;
+  opts.timeout_ms = 1;
+  auto s = make_z3_solver(vocab, opts);
+  l::TermPtr x = f.fresh_var("x", l::Sort::integer());
+  l::TermPtr y = f.fresh_var("y", l::Sort::integer());
+  l::FuncDeclPtr g = f.func("g", {l::Sort::integer()}, l::Sort::integer());
+  s->add(f.forall({x, y}, f.implies(f.lt(x, y), f.lt(f.app(g, {x}),
+                                                     f.app(g, {y})))));
+  l::TermPtr z = f.var("z", l::Sort::integer());
+  s->add(f.lt(f.app(g, {f.app(g, {z})}), f.app(g, {z})));
+  for (int round = 0; round < 10; ++round) {
+    (void)s->check();
+    EXPECT_NO_THROW(s->push()) << "round " << round;
+    EXPECT_NO_THROW(s->add(f.bool_val(true))) << "round " << round;
+    EXPECT_NO_THROW(s->pop()) << "round " << round;
+  }
+}
+
 TEST_F(SmtTest, StatusToString) {
   EXPECT_EQ(to_string(CheckStatus::sat), "sat");
   EXPECT_EQ(to_string(CheckStatus::unsat), "unsat");

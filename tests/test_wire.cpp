@@ -159,8 +159,11 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   result.total_ms = 34;
   result.slice_size = 5;
   result.assertion_count = 210;
-  result.warm_binds = 1;
-  result.warm_reuses = 0;
+  // Distinct per field, so a codec that swaps or drops one shows up.
+  std::size_t value = 1;
+  for (const SessionField& f : kSessionFields) {
+    result.counters.*f.field = value++;
+  }
   result.has_trace = true;
   WireEvent send;
   send.kind = static_cast<std::uint8_t>(EventKind::send);
@@ -189,6 +192,9 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_EQ(back.total_ms, result.total_ms);
   EXPECT_EQ(back.slice_size, result.slice_size);
   EXPECT_EQ(back.assertion_count, result.assertion_count);
+  for (const SessionField& f : kSessionFields) {
+    EXPECT_EQ(back.counters.*f.field, result.counters.*f.field) << f.name;
+  }
   EXPECT_EQ(back.error, "");
   ASSERT_TRUE(back.has_trace);
   ASSERT_EQ(back.trace.size(), 2u);
@@ -203,6 +209,34 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_EQ(*back.trace[1].origin, *send.origin);
   EXPECT_TRUE(back.trace[1].malicious);
   EXPECT_EQ(back.trace[1].app_class, send.app_class);
+
+  // The v4 RESULT layout, byte for byte: fixed header fields, the seven
+  // session counters as u64s in kSessionFields order, empty error, no
+  // trace. Re-pin only together with a kWireVersion bump.
+  result.has_trace = false;
+  result.trace.clear();
+  std::string hex;
+  for (unsigned char byte : encode_result(result)) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "0900000000000000"  // id
+            "0001"              // raw_status sat, outcome violated
+            "0c00000000000000"  // solve_ms
+            "2200000000000000"  // total_ms
+            "0500000000000000"  // slice_size
+            "d200000000000000"  // assertion_count
+            "0100000000000000"  // warm_binds
+            "0200000000000000"  // warm_reuses
+            "0300000000000000"  // iso_reuses
+            "0400000000000000"  // encode_transfer_builds
+            "0500000000000000"  // encode_transfer_reuses
+            "0600000000000000"  // escalations
+            "0700000000000000"  // escalations_rescued
+            "00000000"          // error ""
+            "00");              // has_trace
 }
 
 TEST(WirePayloads, EveryTruncationOfAPayloadThrows) {

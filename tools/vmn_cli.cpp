@@ -331,8 +331,9 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
                   batch.degradation.quarantined);
     }
     if (batch.degradation.degraded() || eopts.verify.faults.enabled() ||
-        batch.degradation.escalations > 0) {
-      std::printf("  degradation: %s\n", batch.degradation.summary().c_str());
+        batch.escalations > 0) {
+      std::printf("  degradation: %s\n",
+                  batch.degradation.summary(batch).c_str());
       for (const std::string& reason : batch.degradation.reasons) {
         std::printf("    - %s\n", reason.c_str());
       }
@@ -343,14 +344,13 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
       std::printf("  cache: %zu hits, %zu misses (%s)\n", batch.cache_hits,
                   batch.cache_misses, eopts.verify.cache_dir.c_str());
     }
-    std::printf("  warm solver: %zu context builds, %zu reuses "
-                "(%zu cross-isomorphic of %zu mapped)\n",
-                batch.warm_binds, batch.warm_reuses, batch.iso_reuses,
-                batch.iso_mapped);
-    std::printf("  iso verdicts: %zu replayed without a solver call\n",
-                batch.iso_verdict_reuses);
-    std::printf("  encode transfers: %zu built, %zu reused\n",
-                batch.encode_transfer_builds, batch.encode_transfer_reuses);
+    std::printf("  counters:");
+    for (const verify::CounterRow& row : verify::counter_table()) {
+      if (row.kind != verify::CounterKind::counter) continue;
+      std::printf(" %.*s=%zu", static_cast<int>(row.name.size()),
+                  row.name.data(), row.get(batch));
+    }
+    std::printf("\n");
     for (std::size_t w = 0; w < batch.pool.workers.size(); ++w) {
       std::printf("  worker %zu: %zu tasks, %lld ms busy\n", w,
                   batch.pool.workers[w].jobs,
