@@ -75,10 +75,19 @@ class Watchdog {
   std::thread thread_;  ///< last: starts once the members it reads exist
 };
 
+/// Every solver runs on Z3's bare incremental SMT kernel. The default
+/// z3::solver is a tactic-based combined solver whose first check() sets up
+/// tactics the verifier never uses (it pushes before every check, which
+/// already routes that solver to the same kernel); that set-up costs more
+/// than a small sliced check and serialises across worker threads.
+z3::solver smt_kernel(z3::context& ctx) {
+  return z3::solver(ctx, z3::solver::simple());
+}
+
 class Z3Solver final : public Solver {
  public:
   Z3Solver(const logic::Vocab& vocab, SolverOptions options)
-      : vocab_(&vocab), options_(options), solver_(ctx_) {
+      : vocab_(&vocab), options_(options), solver_(smt_kernel(ctx_)) {
     z3::params p(ctx_);
     p.set("timeout", options_.timeout_ms);
     if (options_.seed != 0) {
@@ -126,7 +135,7 @@ class Z3Solver final : public Solver {
       // An interrupt that lands after the check returned leaves the whole
       // context cancelled (push, eval and simplify throw) until the next
       // check, which clears it: run one on an empty solver.
-      if (interrupted) (void)z3::solver(ctx_).check();
+      if (interrupted) (void)smt_kernel(ctx_).check();
     }
     last_time_ = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
@@ -160,11 +169,11 @@ class Z3Solver final : public Solver {
     // Fast path: one pass over the model's function interpretations,
     // collecting exactly the entries valued true. This avoids the dense
     // |Node|^2 x |Packet| x |times| m.eval probe grid whenever Z3 reports
-    // snd/rcv/fail as finite entry lists over a `false` default - the
-    // common shape for the finite-model instances VMN produces. When any
-    // interpretation is formula-shaped (quantified models may substitute a
-    // body instead of enumerating entries, or default to non-false), the
-    // events gathered so far are discarded and the dense probe runs, so
+    // snd/rcv/fail as finite entry lists over a `false` default. That shape
+    // is rare on sliced problems: MBQI models usually give snd/rcv a
+    // symbolic `else` body instead. When any interpretation is
+    // formula-shaped, the events gathered so far are discarded and the
+    // dense probe runs (pruned to the node pairs the bodies leave open), so
     // the fast path can only ever be a pure win, never a behavior change.
     if (!collect_events_from_interps(m, packets, out)) {
       out.events.clear();
@@ -317,12 +326,8 @@ class Z3Solver final : public Solver {
                                    const std::vector<z3::expr>& packets,
                                    SmtModel& out) const {
     // Decode tables: Z3 hash-conses ASTs, so an entry argument that denotes
-    // node i is pointer-identical (same ast id) to our constructor app.
-    std::unordered_map<unsigned, std::size_t> node_of;
-    const std::size_t node_count = vocab_->node_sort()->size();
-    for (std::size_t i = 0; i < node_count; ++i) {
-      node_of.emplace(node_expr(i).id(), i);
-    }
+    // node i (packet i) is pointer-identical to our constructor app.
+    const auto node_of = node_ids();
     std::unordered_map<unsigned, std::size_t> packet_of;
     for (std::size_t i = 0; i < packets.size(); ++i) {
       packet_of.emplace(packets[i].id(), i);
@@ -380,10 +385,77 @@ class Z3Solver final : public Solver {
            harvest(vocab_->fail(), EventKind::fail);
   }
 
+  /// Node-constant ast id -> node index. Z3 hash-conses ASTs, so a model
+  /// value that denotes node i is pointer-identical to node_expr(i).
+  std::unordered_map<unsigned, std::size_t> node_ids() const {
+    std::unordered_map<unsigned, std::size_t> node_of;
+    const std::size_t node_count = vocab_->node_sort()->size();
+    for (std::size_t i = 0; i < node_count; ++i) {
+      node_of.emplace(node_expr(i).id(), i);
+    }
+    return node_of;
+  }
+
+  /// Which node cells the relation `decl` can be true at in `m`: cell
+  /// from * |Node| + to for the 4-ary snd/rcv (node_args == 2), cell n for
+  /// the 2-ary fail (node_args == 1). A cell is closed only when no entry
+  /// of the interpretation names it and the `else` body, with the cell's
+  /// node constants substituted for its leading variables, simplifies to
+  /// literally false - then every atom over that cell evaluates to false.
+  /// Any other shape (no interpretation, a null `else`, an entry argument
+  /// that is not a node constant, a Z3 exception) leaves every cell open.
+  std::vector<bool> open_cells(const z3::model& m, const z3::func_decl& decl,
+                               unsigned node_args) const {
+    const auto node_of = node_ids();
+    const std::size_t node_count = vocab_->node_sort()->size();
+    const std::size_t cells = node_args == 2 ? node_count * node_count
+                                             : node_count;
+    std::vector<bool> open(cells, true);
+    try {
+      if (!m.has_interp(decl)) return open;
+      z3::func_interp fi = m.get_func_interp(decl);
+      z3::expr els = fi.else_value();
+      if (static_cast<Z3_ast>(els) == nullptr) return open;
+      std::vector<bool> named(cells, false);
+      for (unsigned j = 0; j < fi.num_entries(); ++j) {
+        z3::func_entry entry = fi.entry(j);
+        std::size_t cell = 0;
+        for (unsigned k = 0; k < node_args; ++k) {
+          auto it = node_of.find(entry.arg(k).id());
+          if (it == node_of.end()) return open;
+          cell = cell * node_count + it->second;
+        }
+        named[cell] = true;
+      }
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        if (named[cell]) continue;
+        // Variable k becomes the cell's k-th node constant; the remaining
+        // (packet, time) variables stay free.
+        z3::expr_vector subst(ctx_);
+        if (node_args == 2) {
+          subst.push_back(node_expr(cell / node_count));
+          subst.push_back(node_expr(cell % node_count));
+        } else {
+          subst.push_back(node_expr(cell));
+        }
+        for (unsigned k = node_args; k < decl.arity(); ++k) {
+          subst.push_back(
+              z3::expr(ctx_, Z3_mk_bound(ctx_, k, decl.domain(k))));
+        }
+        if (els.substitute(subst).simplify().is_false()) open[cell] = false;
+      }
+      return open;
+    } catch (const z3::exception&) {
+      return std::vector<bool>(cells, true);
+    }
+  }
+
   /// The exhaustive fallback: enumerate ground atoms - all node pairs, the
   /// Packet universe, and candidate times harvested from the model itself -
   /// and m.eval each (quantified models may interpret snd/rcv as formula
   /// bodies rather than entry lists, which only evaluation can read).
+  /// Cells that open_cells() rules out are skipped without evaluation;
+  /// every atom evaluated gets the answer the unpruned grid would give.
   void probe_events_dense(const z3::model& m,
                           const std::vector<z3::expr>& packets,
                           SmtModel& out) const {
@@ -392,8 +464,18 @@ class Z3Solver final : public Solver {
 
     auto snd_it = funcs_.find(vocab_->snd().get());
     auto rcv_it = funcs_.find(vocab_->rcv().get());
+    const std::vector<bool> snd_open =
+        snd_it == funcs_.end() ? std::vector<bool>{}
+                               : open_cells(m, snd_it->second, 2);
+    const std::vector<bool> rcv_open =
+        rcv_it == funcs_.end() ? std::vector<bool>{}
+                               : open_cells(m, rcv_it->second, 2);
     for (std::size_t from = 0; from < node_count; ++from) {
       for (std::size_t to = 0; to < node_count; ++to) {
+        const std::size_t cell = from * node_count + to;
+        const bool snd_here = !snd_open.empty() && snd_open[cell];
+        const bool rcv_here = !rcv_open.empty() && rcv_open[cell];
+        if (!snd_here && !rcv_here) continue;
         for (std::size_t pi = 0; pi < packets.size(); ++pi) {
           for (std::int64_t t : times) {
             auto probe = [&](EventKind kind,
@@ -405,17 +487,17 @@ class Z3Solver final : public Solver {
                 out.events.push_back(ModelEvent{kind, from, to, pi, t});
               }
             };
-            if (snd_it != funcs_.end()) probe(EventKind::send, snd_it->second);
-            if (rcv_it != funcs_.end()) {
-              probe(EventKind::receive, rcv_it->second);
-            }
+            if (snd_here) probe(EventKind::send, snd_it->second);
+            if (rcv_here) probe(EventKind::receive, rcv_it->second);
           }
         }
       }
     }
     auto fail_it = funcs_.find(vocab_->fail().get());
     if (fail_it != funcs_.end()) {
+      const std::vector<bool> fail_open = open_cells(m, fail_it->second, 1);
       for (std::size_t n = 0; n < node_count; ++n) {
+        if (!fail_open[n]) continue;
         for (std::int64_t t : times) {
           z3::expr atom = fail_it->second(
               node_expr(n), ctx_.int_val(static_cast<std::int64_t>(t)));

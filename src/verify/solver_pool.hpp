@@ -7,14 +7,15 @@
 // declarations are interned per encoding, never shared), a session is
 // (re)bound to the vocabulary of each problem it executes.
 //
-// Warm binding: rebuilding the encoding and a cold Z3 context per job is
-// the dominant fixed cost of small checks, and consecutive jobs often share
-// a slice shape (the planner sorts the queue to make them adjacent). A
-// session therefore keeps its last base encoding AND the live solver bound
-// to it; warm_bind() hands both back untouched when the next job's (model,
-// members, failure budget) triple matches, and the caller brackets the
-// per-invariant negation in push()/pop() so the base axioms - and Z3's
-// learned state - survive from job to job.
+// Warm binding: re-encoding the base network and re-asserting its axioms
+// into a fresh Z3 context is a fixed cost every cold job pays on top of
+// solving, and consecutive jobs often share a slice shape (the planner
+// sorts the queue to make them adjacent). A session therefore keeps its
+// last base encoding AND the live solver bound to it; warm_bind() hands
+// both back untouched when the next job's (model, members, failure budget)
+// triple matches, and the caller brackets the per-invariant negation in
+// push()/pop() so the base axioms - and Z3's learned state - survive from
+// job to job.
 #pragma once
 
 #include <chrono>

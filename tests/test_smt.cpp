@@ -2,6 +2,10 @@
 // axioms, sat/unsat outcomes, and model extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "core/error.hpp"
 #include "logic/builder.hpp"
 #include "smt/solver.hpp"
@@ -114,6 +118,47 @@ TEST_F(SmtTest, ModelExtractionFindsEvents) {
     if (ev.kind == EventKind::receive && ev.to == 1 /* B */) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(SmtTest, FormulaShapedInterpretationsYieldExactEvents) {
+  // Quantified axioms make Z3 interpret snd by a symbolic `else` body
+  // rather than an entry list, so extraction takes the probe path, which
+  // skips node pairs the body rules out. The events must still be exactly
+  // the atoms the axioms force: a send A->B from time 2 on and one receive
+  // B->A at time 5, at no other node pair.
+  auto s = solver();
+  l::TermPtr a = f.fresh_var("a", vocab.node_sort());
+  l::TermPtr b = f.fresh_var("b", vocab.node_sort());
+  l::TermPtr p = f.fresh_var("p", vocab.packet_sort());
+  l::TermPtr t = f.fresh_var("t", l::Sort::integer());
+  l::TermPtr node_a = vocab.node_const("A");
+  l::TermPtr node_b = vocab.node_const("B");
+  s->add(f.forall({a, b, p, t},
+                  f.iff(vocab.snd_at(a, b, p, t),
+                        f.and_({f.eq(a, node_a), f.eq(b, node_b),
+                                f.le(f.int_val(2), t)}))));
+  s->add(f.forall({a, b, p, t},
+                  f.implies(vocab.rcv_at(a, b, p, t),
+                            f.and_({f.eq(a, node_b), f.eq(b, node_a),
+                                    f.eq(t, f.int_val(5))}))));
+  l::TermPtr wp = f.var("wp", vocab.packet_sort());
+  s->add(vocab.rcv_at(node_b, node_a, wp, f.int_val(5)));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  SmtModel m = s->model();
+
+  // (kind, from, to) -> earliest time seen.
+  std::map<std::tuple<EventKind, std::size_t, std::size_t>, std::int64_t>
+      earliest;
+  for (const ModelEvent& ev : m.events) {
+    auto [it, fresh] =
+        earliest.emplace(std::make_tuple(ev.kind, ev.from, ev.to), ev.time);
+    if (!fresh) it->second = std::min(it->second, ev.time);
+  }
+  const std::map<std::tuple<EventKind, std::size_t, std::size_t>,
+                 std::int64_t>
+      want = {{{EventKind::send, 0 /* A */, 1 /* B */}, 2},
+              {{EventKind::receive, 1 /* B */, 0 /* A */}, 5}};
+  EXPECT_EQ(earliest, want);
 }
 
 TEST_F(SmtTest, ModelBeforeCheckThrows) {

@@ -73,6 +73,17 @@ if grep -nwF "$session_fields" "$repo/src/verify/wire.cpp" \
   exit 1
 fi
 
+echo "--- lint: one solver constructor (Z3's bare SMT kernel) ---"
+# A z3::solver built from a context alone is Z3's tactic-based combined
+# solver: its set-up costs more than a small sliced check and serialises
+# across workers. Every solver under src/ is built on z3::solver::simple().
+if grep -rEn 'z3::solver( +[A-Za-z_][A-Za-z0-9_]*)? *[({] *[A-Za-z_][A-Za-z0-9_]* *[)}]' \
+    "$repo/src"; then
+  echo "ci: a z3::solver is built without z3::solver::simple();" \
+       "use smt_kernel() in src/smt/z3_backend.cpp" >&2
+  exit 1
+fi
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
