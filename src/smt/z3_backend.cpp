@@ -166,19 +166,11 @@ class Z3Solver final : public Solver {
     }
     fill_packet_fields(m, packets, out);
 
-    // Fast path: one pass over the model's function interpretations,
-    // collecting exactly the entries valued true. This avoids the dense
-    // |Node|^2 x |Packet| x |times| m.eval probe grid whenever Z3 reports
-    // snd/rcv/fail as finite entry lists over a `false` default. That shape
-    // is rare on sliced problems: MBQI models usually give snd/rcv a
-    // symbolic `else` body instead. When any interpretation is
-    // formula-shaped, the events gathered so far are discarded and the
-    // dense probe runs (pruned to the node pairs the bodies leave open), so
-    // the fast path can only ever be a pure win, never a behavior change.
-    if (!collect_events_from_interps(m, packets, out)) {
-      out.events.clear();
-      probe_events_dense(m, packets, out);
-    }
+    // Events are read by probing ground atoms (probe_events_dense): MBQI
+    // models give snd/rcv a symbolic `else` body that only evaluation can
+    // read, and an entries-over-false table is just the case where every
+    // unnamed cell closes.
+    probe_events_dense(m, packets, out);
     return out;
   }
 
@@ -316,75 +308,6 @@ class Z3Solver final : public Solver {
         .consts[static_cast<unsigned>(index)]();
   }
 
-  /// Harvests true snd/rcv/fail atoms directly from the model's function
-  /// interpretations (entry lists). Returns false - leaving a possibly
-  /// partial out.events for the caller to discard - when any relevant
-  /// interpretation is not a plain entries-over-false table, or any entry
-  /// argument fails to decode to a node constant / universe packet /
-  /// integer time; the dense probe is the correctness fallback.
-  bool collect_events_from_interps(const z3::model& m,
-                                   const std::vector<z3::expr>& packets,
-                                   SmtModel& out) const {
-    // Decode tables: Z3 hash-conses ASTs, so an entry argument that denotes
-    // node i (packet i) is pointer-identical to our constructor app.
-    const auto node_of = node_ids();
-    std::unordered_map<unsigned, std::size_t> packet_of;
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      packet_of.emplace(packets[i].id(), i);
-    }
-
-    const auto decode = [](const std::unordered_map<unsigned, std::size_t>& map,
-                           const z3::expr& e, std::size_t& index) {
-      auto it = map.find(e.id());
-      if (it == map.end()) return false;
-      index = it->second;
-      return true;
-    };
-
-    // kind: send/receive for the 4-ary event relations, fail for the 2-ary
-    // failure relation (from == to == the failed node there).
-    const auto harvest = [&](const FuncDeclPtr& f, EventKind kind) -> bool {
-      auto it = funcs_.find(f.get());
-      if (it == funcs_.end()) return true;  // never translated: no atoms
-      try {
-        if (!m.has_interp(it->second)) return true;  // completion -> false
-        z3::func_interp fi = m.get_func_interp(it->second);
-        z3::expr els = fi.else_value();
-        if (!els.is_false()) return false;  // non-false default: probe
-        for (unsigned j = 0; j < fi.num_entries(); ++j) {
-          z3::func_entry entry = fi.entry(j);
-          z3::expr value = entry.value();
-          if (value.is_false()) continue;
-          if (!value.is_true()) return false;  // symbolic value: probe
-          ModelEvent ev;
-          ev.kind = kind;
-          std::int64_t t = 0;
-          if (kind == EventKind::fail) {
-            if (entry.num_args() != 2) return false;
-            if (!decode(node_of, entry.arg(0), ev.from)) return false;
-            if (!entry.arg(1).is_numeral_i64(t)) return false;
-            ev.to = ev.from;
-          } else {
-            if (entry.num_args() != 4) return false;
-            if (!decode(node_of, entry.arg(0), ev.from)) return false;
-            if (!decode(node_of, entry.arg(1), ev.to)) return false;
-            if (!decode(packet_of, entry.arg(2), ev.packet)) return false;
-            if (!entry.arg(3).is_numeral_i64(t)) return false;
-          }
-          ev.time = t;
-          out.events.push_back(ev);
-        }
-        return true;
-      } catch (const z3::exception&) {
-        return false;  // partial interp (null else etc.): probe instead
-      }
-    };
-
-    return harvest(vocab_->snd(), EventKind::send) &&
-           harvest(vocab_->rcv(), EventKind::receive) &&
-           harvest(vocab_->fail(), EventKind::fail);
-  }
-
   /// Node-constant ast id -> node index. Z3 hash-conses ASTs, so a model
   /// value that denotes node i is pointer-identical to node_expr(i).
   std::unordered_map<unsigned, std::size_t> node_ids() const {
@@ -450,7 +373,7 @@ class Z3Solver final : public Solver {
     }
   }
 
-  /// The exhaustive fallback: enumerate ground atoms - all node pairs, the
+  /// Reads every event: enumerate ground atoms - all node pairs, the
   /// Packet universe, and candidate times harvested from the model itself -
   /// and m.eval each (quantified models may interpret snd/rcv as formula
   /// bodies rather than entry lists, which only evaluation can read).

@@ -254,24 +254,18 @@ BatchResult Engine::run_batch(
       for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
       process_groups.push_back(std::move(group));
     }
-    ProcessPoolOptions popts = options_.process;
-    popts.workers = requested;
-    // The fault plan and escalation policy ride the verify options so the
-    // CLI's --faults / --no-escalate reach the workers unchanged; the
-    // deadline hands the pool whatever budget planning and the cache pass
-    // left (a floor of 1ms keeps "already expired" on the pool's own
+    // The deadline hands the pool whatever budget planning and the cache
+    // pass left (a floor of 1ms keeps "already expired" on the pool's own
     // drain path instead of special-casing it here).
-    popts.faults = options_.verify.faults;
-    popts.escalate_unknown = options_.verify.escalate_unknown;
-    popts.escalation_timeout_mult = options_.verify.escalation_timeout_mult;
+    std::chrono::milliseconds remaining{0};
     if (deadline_at) {
-      popts.deadline = std::max(
+      remaining = std::max(
           std::chrono::milliseconds(1),
           std::chrono::duration_cast<std::chrono::milliseconds>(
               *deadline_at - std::chrono::steady_clock::now()));
     }
-    ProcessPool pool(options_.verify.solver, options_.verify.warm_solving,
-                     popts);
+    const ProcessPool pool(options_.verify, options_.process, requested,
+                           remaining);
     const std::vector<std::optional<wire::WireResult>> answers = pool.run(
         wire_jobs, std::move(process_groups), out.pool, out.degradation);
     for (std::size_t k = 0; k < to_solve.size(); ++k) {
@@ -304,10 +298,8 @@ BatchResult Engine::run_batch(
     // A one-worker pool runs inline on this thread, so its session may
     // borrow the planning context's transfer memo: encoding then re-walks
     // nothing class inference or the planner already walked.
-    SolverPool pool(workers, options_.verify.solver,
-                    options_.verify.warm_solving,
+    SolverPool pool(workers, options_.verify,
                     requested == 1 ? &ctx_->transfers : nullptr);
-    pool.set_resilience(session_resilience(options_.verify));
     // Deadline bookkeeping: each slot of `skipped` is written by exactly
     // one worker (per-job ownership), so no lock; the counter is atomic
     // because any worker may be the one to notice expiry.
@@ -318,7 +310,7 @@ BatchResult Engine::run_batch(
       // same-shape task must not leak its context (and learned state) into
       // this one, or results would depend on the task-to-worker race. The
       // transfer memo survives (same model across every task of a batch).
-      session.reset_warm(/*keep_transfers=*/true);
+      session.reset_warm();
       for (std::size_t k = groups[gi].first; k < groups[gi].second; ++k) {
         if (deadline_at &&
             std::chrono::steady_clock::now() >= *deadline_at) {

@@ -82,9 +82,8 @@ struct EngineOptions {
   std::size_t jobs = 0;
   /// Thread or process fan-out (see Backend).
   Backend backend = Backend::thread;
-  /// Process-backend knobs (retry budget, hang timeout, worker argv);
-  /// ignored by the thread backend. `workers` is taken from the worker
-  /// count.
+  /// Process-backend knobs (hang timeout, worker argv); ignored by the
+  /// thread backend. Workers solve under `verify`'s SessionPolicy.
   ProcessPoolOptions process;
   /// Batch budget measured from run_batch entry; 0 = none. On expiry the
   /// engine stops dispatching: jobs never attempted surface as unknown

@@ -23,6 +23,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Dispatch budget per job (initial dispatch + requeues); an exhausted job
+/// is abandoned to an unknown verdict.
+constexpr int kMaxAttempts = 3;
+/// Replacement workers one slot may spawn after crashes/hangs before it
+/// retires.
+constexpr std::size_t kMaxRespawns = 2;
+/// Backoff before the k-th respawn of a slot: min(cap, base << k) plus
+/// seeded jitter in [0, base) (respawn_backoff).
+constexpr std::chrono::milliseconds kRespawnBackoffBase{25};
+constexpr std::chrono::milliseconds kRespawnBackoffCap{400};
+/// A job whose worker died this many times while it was in flight is
+/// quarantined (abandoned to unknown, never dispatched again).
+constexpr int kQuarantineKills = 2;
+
 /// A spawned worker process and the two pipe ends the parent keeps.
 struct WorkerProc {
   pid_t pid = -1;
@@ -249,13 +263,12 @@ void abandon_locked(DispatchState& state, std::size_t job_index,
 void requeue_or_abandon_locked(DispatchState& state,
                                const std::vector<wire::WireJob>& jobs,
                                const std::string& spec_text,
-                               const std::vector<std::size_t>& undone,
-                               int max_attempts) {
+                               const std::vector<std::size_t>& undone) {
   ProcessGroup retry;
   retry.spec_text = spec_text;
   for (std::size_t job_index : undone) {
     if (state.results[job_index].has_value()) continue;
-    if (state.attempts[job_index] >= max_attempts) {
+    if (state.attempts[job_index] >= kMaxAttempts) {
       abandon_locked(state, job_index, AbandonCause::retries);
       state.degradation.reasons.push_back(
           "job " + std::to_string(jobs[job_index].id) + " abandoned after " +
@@ -303,9 +316,13 @@ void drain_deadline_locked(DispatchState& state,
 
 }  // namespace
 
-ProcessPool::ProcessPool(smt::SolverOptions solver, bool warm_solving,
-                         ProcessPoolOptions options)
-    : solver_(solver), warm_(warm_solving), options_(std::move(options)) {}
+ProcessPool::ProcessPool(const SessionPolicy& policy,
+                         ProcessPoolOptions options, std::size_t workers,
+                         std::chrono::milliseconds deadline)
+    : policy_(policy),
+      options_(std::move(options)),
+      workers_(workers),
+      deadline_(deadline) {}
 
 std::vector<std::optional<wire::WireResult>> ProcessPool::run(
     const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
@@ -314,23 +331,16 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
   state.results.resize(jobs.size());
   if (jobs.empty() || groups.empty()) return std::move(state.results);
 
-  std::size_t requested = options_.workers != 0
-                              ? options_.workers
-                              : std::thread::hardware_concurrency();
-  if (requested == 0) requested = 1;
   const std::size_t worker_count =
-      std::max<std::size_t>(1, std::min(requested, groups.size()));
+      std::max<std::size_t>(1, std::min(workers_, groups.size()));
 
   const std::chrono::milliseconds hang_timeout =
       options_.hang_timeout.count() > 0
           ? options_.hang_timeout
-          : std::chrono::milliseconds(2ull * solver_.timeout_ms + 30000);
-  const int max_attempts = std::max(1, options_.max_attempts);
-  const int quarantine_kills = std::max(1, options_.quarantine_kills);
-  const std::string fault_plan_text = options_.faults.to_string();
+          : std::chrono::milliseconds(2ull * policy_.solver.timeout_ms + 30000);
   const std::optional<Clock::time_point> deadline =
-      options_.deadline.count() > 0
-          ? std::optional<Clock::time_point>(Clock::now() + options_.deadline)
+      deadline_.count() > 0
+          ? std::optional<Clock::time_point>(Clock::now() + deadline_)
           : std::nullopt;
 
   // A worker dying mid-write must surface as EPIPE on the dispatcher
@@ -409,14 +419,7 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
         continue;
       }
 
-      wire::WireModel model;
-      model.worker_index = ordinal;
-      model.warm_solving = warm_;
-      model.solver = solver_;
-      model.fault_plan = fault_plan_text;
-      model.escalate_unknown = options_.escalate_unknown;
-      model.escalation_timeout_mult = options_.escalation_timeout_mult;
-      model.spec_text = group.spec_text;
+      const wire::WireModel model{ordinal, policy_, group.spec_text};
       if (!write_all_fd(proc.to_child,
                      wire::encode_frame(wire::FrameType::model,
                                         wire::encode_model(model)))) {
@@ -475,8 +478,8 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
           // elsewhere within the attempt budget (some other job of the
           // group may still succeed here).
           std::lock_guard<std::mutex> lk(state.mu);
-          requeue_or_abandon_locked(state, jobs, group.spec_text, {job_index},
-                                    max_attempts);
+          requeue_or_abandon_locked(state, jobs, group.spec_text,
+                                    {job_index});
           state.cv.notify_all();
           continue;
         }
@@ -500,7 +503,7 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
         // budget.
         if (in_flight && !state.results[*in_flight].has_value()) {
           const std::size_t victim = *in_flight;
-          if (++state.crash_kills[victim] >= quarantine_kills) {
+          if (++state.crash_kills[victim] >= kQuarantineKills) {
             abandon_locked(state, victim, AbandonCause::quarantine);
             state.degradation.reasons.push_back(
                 "job " + std::to_string(jobs[victim].id) +
@@ -510,8 +513,7 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
                          undone.end());
           }
         }
-        requeue_or_abandon_locked(state, jobs, group.spec_text, undone,
-                                  max_attempts);
+        requeue_or_abandon_locked(state, jobs, group.spec_text, undone);
         work_remains = state.outstanding > 0;
         state.cv.notify_all();
       }
@@ -519,10 +521,10 @@ std::vector<std::optional<wire::WireResult>> ProcessPool::run(
       // Self-healing: replace the dead worker (capped exponential backoff,
       // bounded per slot) while there is still work it could do.
       bool respawned = false;
-      while (work_remains && respawns_used < options_.max_respawns) {
-        const std::chrono::milliseconds pause = respawn_backoff(
-            options_.faults.seed, slot, respawns_used,
-            options_.respawn_backoff_base, options_.respawn_backoff_cap);
+      while (work_remains && respawns_used < kMaxRespawns) {
+        const std::chrono::milliseconds pause =
+            respawn_backoff(policy_.faults.seed, slot, respawns_used,
+                            kRespawnBackoffBase, kRespawnBackoffCap);
         ++respawns_used;
         if (pause.count() > 0) std::this_thread::sleep_for(pause);
         std::optional<WorkerProc> replacement = spawn_worker();

@@ -10,22 +10,26 @@
 // Crash tolerance is the point of the exercise: a worker that exits, is
 // killed, or stops answering within the hang timeout is reaped, and every
 // job it had not answered is requeued onto the surviving workers. Requeues
-// are bounded (max_attempts dispatches per job); a job that exhausts its
+// are bounded (kMaxAttempts = 3 dispatches per job); a job that exhausts its
 // budget - or outlives every worker - is *abandoned*: it surfaces as an
 // unknown verdict with the abandonment counted, never as a silently missing
 // result.
 //
-// Self-healing: a slot whose worker dies respawns a replacement (capped
-// exponential backoff with seeded jitter, at most max_respawns per slot),
+// Self-healing: a slot whose worker dies respawns a replacement (backoff
+// kRespawnBackoffBase = 25 ms doubling up to kRespawnBackoffCap = 400 ms,
+// plus jitter seeded by the fault plan; at most kMaxRespawns = 2 per slot),
 // so one bad worker - or a chaos plan killing several - does not shrink the
 // fleet for the rest of the batch. Respawning alone would let a
 // *deterministic* crasher (a job that kills whichever worker runs it) eat
 // every respawn budget in turn, so crashes are attributed to the job that
-// was in flight: a job that has killed quarantine_kills workers is
+// was in flight: a job that has killed kQuarantineKills = 2 workers is
 // quarantined - abandoned to an unknown verdict, counted and named in the
 // dispatch report - and the fleet keeps going. The no-survivors path stays
 // reachable (respawn budgets are finite), so the bounded-retry guarantee
 // still means what it said.
+//
+// These budgets are named constants in process_pool.cpp, not options: no
+// caller tunes them, and tests pin the behaviour they produce.
 //
 // Graceful degradation: an optional deadline (measured from run()) stops
 // dispatching when it expires - jobs never attempted are abandoned with a
@@ -50,18 +54,15 @@
 #include <string>
 #include <vector>
 
-#include "smt/solver.hpp"
 #include "verify/solver_pool.hpp"
 #include "verify/wire.hpp"
 
 namespace vmn::verify {
 
+/// What callers set on a process pool (the CLI's --worker-timeout and its
+/// own worker argv); everything else comes from the SessionPolicy and the
+/// engine.
 struct ProcessPoolOptions {
-  /// Worker processes; 0 picks std::thread::hardware_concurrency().
-  std::size_t workers = 0;
-  /// Dispatch budget per job (initial dispatch + requeues). Exhausted jobs
-  /// are abandoned to an unknown verdict.
-  int max_attempts = 3;
   /// How long the dispatcher waits for one job's result before declaring
   /// the worker hung and killing it. 0 derives a budget from the solver
   /// timeout (2x + 30s) so a wedged worker can never stall the batch.
@@ -69,26 +70,6 @@ struct ProcessPoolOptions {
   /// argv of the worker to fork+exec; empty runs wire::worker_main in a
   /// forked child of this process.
   std::vector<std::string> worker_command;
-  /// Fault plan shipped to workers in the MODEL frame (and whose seed
-  /// drives the respawn-backoff jitter). Default injects nothing.
-  FaultPlan faults;
-  /// Unknown-escalation policy forwarded to worker sessions (see
-  /// VerifyOptions::escalate_unknown).
-  bool escalate_unknown = true;
-  std::uint32_t escalation_timeout_mult = 2;
-  /// Respawn budget per slot: how many replacement workers one slot may
-  /// spawn after crashes/hangs before it retires.
-  std::size_t max_respawns = 2;
-  /// Capped exponential backoff before the k-th respawn of a slot:
-  /// min(cap, base << k) plus seeded jitter in [0, base).
-  std::chrono::milliseconds respawn_backoff_base{25};
-  std::chrono::milliseconds respawn_backoff_cap{400};
-  /// A job whose worker died this many times while it was in flight is
-  /// quarantined (abandoned to unknown, never dispatched again).
-  int quarantine_kills = 2;
-  /// Batch budget measured from run() entry; 0 = none. On expiry,
-  /// not-yet-attempted jobs are abandoned with a deadline cause.
-  std::chrono::milliseconds deadline{0};
 };
 
 /// One unit of dispatch: the projected model its jobs execute in, plus the
@@ -100,8 +81,14 @@ struct ProcessGroup {
 
 class ProcessPool {
  public:
-  ProcessPool(smt::SolverOptions solver, bool warm_solving,
-              ProcessPoolOptions options);
+  /// Workers solve under `policy`, shipped to them in every MODEL frame
+  /// (its fault plan's seed also drives the respawn-backoff jitter). At
+  /// most `workers` (>= 1, already resolved by the caller) processes are
+  /// spawned, never more than there are groups. `deadline` is the batch
+  /// budget measured from run() entry; 0 = none. On expiry, jobs not yet
+  /// attempted are abandoned with a deadline cause.
+  ProcessPool(const SessionPolicy& policy, ProcessPoolOptions options,
+              std::size_t workers, std::chrono::milliseconds deadline);
 
   /// Dispatches every group, blocking until each job is answered or
   /// abandoned; the results align with `jobs`, nullopt marking an abandoned
@@ -115,12 +102,11 @@ class ProcessPool {
       const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
       PoolStats& pool, DegradationReport& degradation) const;
 
-  [[nodiscard]] const ProcessPoolOptions& options() const { return options_; }
-
  private:
-  smt::SolverOptions solver_;
-  bool warm_ = true;
+  SessionPolicy policy_;
   ProcessPoolOptions options_;
+  std::size_t workers_;
+  std::chrono::milliseconds deadline_;
 };
 
 }  // namespace vmn::verify

@@ -10,7 +10,14 @@
 
 namespace vmn::verify {
 
-void SolverSession::reset_warm(bool keep_transfers) {
+namespace {
+
+/// An escalated retry runs with this multiple of the session's timeout.
+constexpr std::uint64_t kEscalationTimeoutMult = 2;
+
+}  // namespace
+
+void SolverSession::reset_warm() {
   encoding_.reset();
   solver_.reset();
   esc_encoding_.reset();
@@ -18,7 +25,6 @@ void SolverSession::reset_warm(bool keep_transfers) {
   warm_model_ = nullptr;
   warm_members_.clear();
   warm_failures_ = -1;
-  if (!keep_transfers) owned_transfers_.reset();
 }
 
 SolverSession::WarmBound SolverSession::escalate_bind() {
@@ -26,19 +32,15 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
     throw Error("escalate_bind without a preceding warm_bind");
   }
   ++counters_.escalations;
-  smt::SolverOptions esc = options_;
-  const std::uint64_t mult =
-      resilience_.escalation_timeout_mult > 0
-          ? resilience_.escalation_timeout_mult
-          : 2;
+  smt::SolverOptions esc = policy_.solver;
   const std::uint64_t timeout =
-      static_cast<std::uint64_t>(options_.timeout_ms) * mult;
+      static_cast<std::uint64_t>(esc.timeout_ms) * kEscalationTimeoutMult;
   esc.timeout_ms = timeout > 0xffffffffull
                        ? 0xffffffffu
                        : static_cast<std::uint32_t>(timeout);
   // Perturb the random seed: a different exploration order is frequently
   // all a borderline-unknown check needs.
-  esc.seed = options_.seed ^ 0x9e3779b9u;
+  esc.seed ^= 0x9e3779b9u;
   dataplane::TransferCache* transfers = borrowed_transfers_;
   if (transfers == nullptr) transfers = owned_transfers_.get();
   encode::EncodeOptions eopts;
@@ -62,7 +64,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   // sees what the encoding would.
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());
-  if (warm_ && encoding_ != nullptr && warm_model_ == &model &&
+  if (policy_.warm_solving && encoding_ != nullptr && warm_model_ == &model &&
       warm_failures_ == max_failures && warm_members_ == members) {
     ++counters_.warm_reuses;
     return WarmBound{*encoding_, *solver_, true};
@@ -90,7 +92,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   warm_model_ = &model;
   warm_failures_ = max_failures;
   warm_members_ = encoding_->members();
-  solver_ = smt::make_z3_solver(encoding_->vocab(), options_);
+  solver_ = smt::make_z3_solver(encoding_->vocab(), policy_.solver);
   for (const encode::Axiom& axiom : encoding_->axioms()) {
     solver_->add(axiom.term);
   }
@@ -98,8 +100,8 @@ SolverSession::WarmBound SolverSession::warm_bind(
   return WarmBound{*encoding_, *solver_, false};
 }
 
-SolverPool::SolverPool(std::size_t workers, smt::SolverOptions options,
-                       bool warm, dataplane::TransferCache* transfers) {
+SolverPool::SolverPool(std::size_t workers, const SessionPolicy& policy,
+                       dataplane::TransferCache* transfers) {
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
@@ -107,7 +109,7 @@ SolverPool::SolverPool(std::size_t workers, smt::SolverOptions options,
   sessions_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     sessions_.push_back(
-        std::make_unique<SolverSession>(options, warm, transfers));
+        std::make_unique<SolverSession>(policy, transfers));
   }
   stats_.resize(workers);
 }

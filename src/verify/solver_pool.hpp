@@ -1,11 +1,18 @@
 // A pool of solver-owning workers.
 //
 // Z3 contexts are not thread-safe, so parallel verification gives every
-// worker its own SolverSession: the session owns the backend solver plus the
-// per-session options, and is only ever touched from the worker thread that
-// owns it. Because every Encoding carries its own logic::Vocab (sorts and
-// declarations are interned per encoding, never shared), a session is
-// (re)bound to the vocabulary of each problem it executes.
+// worker its own SolverSession: the session owns the backend solver and
+// runs under one SessionPolicy, and is only ever touched from the worker
+// thread that owns it. Because every Encoding carries its own logic::Vocab
+// (sorts and declarations are interned per encoding, never shared), a
+// session is (re)bound to the vocabulary of each problem it executes.
+//
+// One policy, one value: SessionPolicy holds every setting a session runs
+// under (solver timeout and seed, warm reuse, fault plan, unknown
+// escalation). VerifyOptions inherits it, the engine hands it as-is to a
+// SolverPool or a ProcessPool, and a MODEL frame ships it to process
+// workers (wire::WireModel::policy), so the thread and process backends
+// solve under the same settings by construction.
 //
 // Warm binding: re-encoding the base network and re-asserting its axioms
 // into a fresh Z3 context is a fixed cost every cold job pays on top of
@@ -34,33 +41,47 @@
 
 namespace vmn::verify {
 
-/// Session-level robustness policy: which faults to inject into solver
-/// checks (FaultInjector; default injects nothing) and whether to escalate
-/// unknown verdicts - retry once on a fresh context with the timeout
-/// multiplied and the solver seed perturbed - before accepting unknown.
-/// Engines derive this from VerifyOptions; a default-constructed value is
-/// the historical behavior.
-struct SessionResilience {
-  FaultInjector faults;
-  bool escalate_unknown = false;
-  std::uint32_t escalation_timeout_mult = 2;
+/// Every setting a solver session runs under. Declared once: VerifyOptions
+/// inherits it, SolverSession / SolverPool / ProcessPool take it whole, and
+/// the wire codec ships it in one piece. Every decision it drives is a pure
+/// function of the plan, so it never makes results depend on scheduling.
+struct SessionPolicy {
+  /// Per-check Z3 timeout and random seed.
+  smt::SolverOptions solver;
+  /// Keep each session's base encoding and Z3 context alive across
+  /// consecutive jobs sharing a slice shape (base axioms asserted once,
+  /// per-invariant negation pushed/popped). Verdict-identical to cold
+  /// solving; off is the benchmark/debug baseline.
+  bool warm_solving = true;
+  /// Seeded deterministic fault injection (verify/faults.hpp); a default
+  /// plan injects nothing. Worker/frame faults only bite on the process
+  /// backend; solver and cache faults bite everywhere.
+  FaultPlan faults;
+  /// Retry unknown verdicts once on a fresh context with the timeout
+  /// doubled and the solver seed perturbed (SolverSession::escalate_bind),
+  /// before accepting unknown. Widening-only: a definitive escalated
+  /// answer replaces unknown, never the other way around.
+  bool escalate_unknown = true;
 };
 
 /// A single worker's solver state. Never shared between threads.
 class SolverSession {
  public:
-  /// `warm` == false disables context reuse: every warm_bind() builds a
-  /// fresh encoding and solver (the cold baseline the warm path is tested
-  /// and benchmarked against). `transfers`, when non-null, is a borrowed
-  /// per-scenario transfer memo every encoding built by this session draws
-  /// from (a one-worker engine lends its PlanContext cache, so encoding
-  /// re-walks nothing the planner walked). TransferFunction memos are not
-  /// thread-safe: a borrowed cache must only ever be touched from the
-  /// thread running this session, so pool workers leave it null and the
-  /// session builds a private per-model cache instead.
-  explicit SolverSession(smt::SolverOptions options, bool warm = true,
+  /// `policy.warm_solving` == false disables context reuse: every
+  /// warm_bind() builds a fresh encoding and solver (the cold baseline the
+  /// warm path is tested and benchmarked against); the session's
+  /// FaultInjector is built from `policy.faults`. `transfers`, when
+  /// non-null, is a borrowed per-scenario transfer memo every encoding
+  /// built by this session draws from (a one-worker engine lends its
+  /// PlanContext cache, so encoding re-walks nothing the planner walked).
+  /// TransferFunction memos are not thread-safe: a borrowed cache must only
+  /// ever be touched from the thread running this session, so pool workers
+  /// leave it null and the session builds a private per-model cache
+  /// instead.
+  explicit SolverSession(const SessionPolicy& policy,
                          dataplane::TransferCache* transfers = nullptr)
-      : options_(options), warm_(warm), borrowed_transfers_(transfers) {}
+      : policy_(policy), faults_(policy.faults),
+        borrowed_transfers_(transfers) {}
 
   /// What warm_bind hands out: the session-owned base encoding (base axioms
   /// already asserted on `solver` at scope level 0) and whether it was
@@ -80,9 +101,9 @@ class SolverSession {
                       std::vector<NodeId> members, int max_failures);
 
   /// A fresh context over the *current* warm shape with escalated options
-  /// (timeout x escalation_timeout_mult, perturbed seed), for retrying an
-  /// unknown verdict. Kept separate from the warm context so escalation
-  /// never leaks its options into later jobs; freed by reset_warm. Must
+  /// (timeout doubled, perturbed seed), for retrying an unknown verdict.
+  /// Kept separate from the warm context so escalation never leaks its
+  /// options into later jobs; freed by reset_warm. Must
   /// follow a warm_bind (asserts on the warm shape being set). Counts one
   /// escalation; callers report a rescue via note_escalation_rescued.
   WarmBound escalate_bind();
@@ -94,18 +115,18 @@ class SolverSession {
   /// race, and cross-task reuse would make solver state - and with it
   /// witness traces - depend on that race instead of only on the plan.
   ///
-  /// The session-owned transfer memo is dropped too by default: it is
-  /// keyed by the network's address, and a session that outlives one model
-  /// and binds another allocated at the same address (the wire worker
-  /// re-emplacing its parsed Spec per shape group) would otherwise serve
-  /// the dead network's memoized walks. Callers that keep binding the same
-  /// model object (the thread backend: one batch, one model, many tasks)
-  /// pass keep_transfers=true - transfer functions are deterministic
-  /// routing data, so keeping them across tasks cannot make results
-  /// scheduling-dependent the way solver state would.
-  void reset_warm(bool keep_transfers = false);
+  /// The session-owned transfer memo survives: transfer functions are
+  /// deterministic routing data, so keeping them across tasks cannot make
+  /// results scheduling-dependent the way solver state would. The memo is
+  /// keyed by the network's address, so a session must not outlive the
+  /// model it binds (the wire worker starts a fresh session per model).
+  void reset_warm();
 
-  [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
+  /// The policy this session runs under, and the fault oracle built from
+  /// its plan (solver faults here, worker and frame faults in the wire
+  /// worker loop).
+  [[nodiscard]] const SessionPolicy& policy() const { return policy_; }
+  [[nodiscard]] const FaultInjector& faults() const { return faults_; }
   /// Everything this session has counted since construction (binds, warm
   /// and cross-isomorphic reuse, encode-time transfer traffic,
   /// escalations); reset_warm leaves it alone.
@@ -114,25 +135,14 @@ class SolverSession {
   /// verify_members for iso-rebound jobs).
   void note_iso_reuse() { ++counters_.iso_reuses; }
 
-  /// Robustness policy (fault injection + unknown escalation). Set once
-  /// before the session solves; decisions are pure functions of the plan,
-  /// so this never makes results depend on scheduling.
-  void set_resilience(SessionResilience resilience) {
-    resilience_ = std::move(resilience);
-  }
-  [[nodiscard]] const SessionResilience& resilience() const {
-    return resilience_;
-  }
-
  private:
-  smt::SolverOptions options_;
-  bool warm_ = true;
+  SessionPolicy policy_;
+  FaultInjector faults_;
   dataplane::TransferCache* borrowed_transfers_ = nullptr;
   /// Session-owned fallback memo, rebuilt when the model changes.
   std::unique_ptr<dataplane::TransferCache> owned_transfers_;
   std::unique_ptr<smt::Solver> solver_;
   SessionCounters counters_;
-  SessionResilience resilience_;
   /// Escalation context (escalate_bind): separate from the warm pair so
   /// the escalated options die with the retry.
   std::unique_ptr<encode::Encoding> esc_encoding_;
@@ -162,14 +172,13 @@ struct WorkerStats {
 /// independent of the (nondeterministic) job-to-worker assignment.
 class SolverPool {
  public:
-  /// `workers` == 0 picks std::thread::hardware_concurrency(). `warm`
-  /// configures every session's context reuse (see SolverSession).
-  /// `transfers` is lent to the session of a one-worker pool, whose tasks
-  /// run on the calling thread (see SolverSession's borrowing contract);
-  /// it must be null when the pool has more workers.
-  explicit SolverPool(std::size_t workers, smt::SolverOptions options,
-                      bool warm = true,
-                      dataplane::TransferCache* transfers = nullptr);
+  /// `workers` == 0 picks std::thread::hardware_concurrency(). Every
+  /// session runs under `policy` (see SolverSession). `transfers` is lent
+  /// to the session of a one-worker pool, whose tasks run on the calling
+  /// thread (see SolverSession's borrowing contract); it must be null when
+  /// the pool has more workers.
+  SolverPool(std::size_t workers, const SessionPolicy& policy,
+             dataplane::TransferCache* transfers = nullptr);
 
   [[nodiscard]] std::size_t size() const { return sessions_.size(); }
   [[nodiscard]] const std::vector<WorkerStats>& stats() const {
@@ -179,11 +188,6 @@ class SolverPool {
   [[nodiscard]] const SolverSession& session(std::size_t i) const {
     return *sessions_[i];
   }
-  /// Applies one robustness policy to every session (before run()).
-  void set_resilience(const SessionResilience& resilience) {
-    for (auto& s : sessions_) s->set_resilience(resilience);
-  }
-
   /// Executes `fn(task_index, session)` for every index in [0, count).
   /// Each invocation runs on exactly one worker thread with that worker's
   /// session; blocks until all tasks finish. The first exception thrown by

@@ -24,20 +24,6 @@ std::string to_string(Outcome outcome) {
   return "?";
 }
 
-void TimingHistogram::record(std::chrono::milliseconds ms) {
-  std::size_t bucket = 0;
-  for (auto v = ms.count(); v > 0; v >>= 1) ++bucket;
-  if (buckets.size() <= bucket) buckets.resize(bucket + 1);
-  ++buckets[bucket];
-  raw.push_back(ms);
-}
-
-std::size_t TimingHistogram::samples() const {
-  std::size_t n = 0;
-  for (std::size_t b : buckets) n += b;
-  return n;
-}
-
 std::chrono::milliseconds TimingHistogram::percentile(double p) const {
   if (raw.empty()) return std::chrono::milliseconds{0};
   std::vector<std::chrono::milliseconds> sorted = raw;
@@ -53,6 +39,13 @@ std::chrono::milliseconds TimingHistogram::percentile(double p) const {
 }
 
 std::string TimingHistogram::to_string() const {
+  std::vector<std::size_t> buckets;
+  for (const std::chrono::milliseconds ms : raw) {
+    std::size_t bucket = 0;
+    for (auto v = ms.count(); v > 0; v >>= 1) ++bucket;
+    if (buckets.size() <= bucket) buckets.resize(bucket + 1);
+    ++buckets[bucket];
+  }
   std::string out;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i] == 0) continue;
@@ -210,7 +203,7 @@ VerifyResult verify_members(const encode::NetworkModel& model,
   std::vector<NodeId> encode_members = std::move(members);
   const encode::Invariant& solved = invariant;
   const std::uint64_t solve_key =
-      session.resilience().faults.enabled()
+      session.faults().enabled()
           ? solve_identity(model.network(), solved, encode_members,
                            max_failures)
           : 0;
@@ -231,11 +224,11 @@ VerifyResult verify_members(const encode::NetworkModel& model,
     smt::CheckStatus status = solver.check();
     result.solve_time += solver.last_check_time();
     const FaultInjector::SolverFault fault =
-        session.resilience().faults.solver_fault(solve_key, attempt);
+        session.faults().solver_fault(solve_key, attempt);
     if (fault == FaultInjector::SolverFault::forced_timeout) {
       status = smt::CheckStatus::unknown;
       result.solve_time += std::chrono::milliseconds(
-          session.options().timeout_ms);
+          session.policy().solver.timeout_ms);
     } else if (fault == FaultInjector::SolverFault::forced_unknown) {
       status = smt::CheckStatus::unknown;
     }
@@ -274,7 +267,7 @@ VerifyResult verify_members(const encode::NetworkModel& model,
   // a definitive escalated answer replaces it - widening only ever goes
   // the other way, so this cannot flip a verdict.
   if (status == smt::CheckStatus::unknown &&
-      session.resilience().escalate_unknown) {
+      session.policy().escalate_unknown) {
     SolverSession::WarmBound escalated = session.escalate_bind();
     status = solve_once(escalated, 1);
     if (status != smt::CheckStatus::unknown) session.note_escalation_rescued();
@@ -599,14 +592,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   plan.plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - plan_start);
   return plan;
-}
-
-SessionResilience session_resilience(const VerifyOptions& options) {
-  SessionResilience resilience;
-  resilience.faults = FaultInjector(options.faults);
-  resilience.escalate_unknown = options.escalate_unknown;
-  resilience.escalation_timeout_mult = options.escalation_timeout_mult;
-  return resilience;
 }
 
 Trace extract_trace(const encode::Encoding& encoding,

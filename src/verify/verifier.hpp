@@ -39,7 +39,10 @@ enum class Outcome : std::uint8_t {
 
 [[nodiscard]] std::string to_string(Outcome outcome);
 
-struct VerifyOptions {
+/// Per-check options: the session policy every solver session runs under
+/// (solver, warm_solving, faults, escalate_unknown - see SessionPolicy)
+/// plus what planning and caching read.
+struct VerifyOptions : SessionPolicy {
   /// Verify on a computed slice instead of the whole network.
   bool use_slices = true;
   /// Failure budget: how many nodes may fail simultaneously.
@@ -47,11 +50,6 @@ struct VerifyOptions {
   /// Use inferred policy classes (configuration fingerprints) rather than
   /// the declared ones for slices and symmetry.
   bool infer_policy_classes = true;
-  /// Keep each solver session's base encoding and Z3 context alive across
-  /// consecutive jobs sharing a slice shape (base axioms asserted once,
-  /// per-invariant negation pushed/popped). Verdict-identical to cold
-  /// solving; off is the benchmark/debug baseline.
-  bool warm_solving = true;
   /// Collapse planned jobs whose encode-space problems are identical
   /// (same representative members, same mapped invariant - the planner's
   /// exact shape_bijection having vouched for every mapping) into ONE
@@ -64,17 +62,6 @@ struct VerifyOptions {
   /// verify/result_cache.hpp); empty disables caching. Cache hits restore
   /// outcome and statistics but never a counterexample trace.
   std::string cache_dir;
-  smt::SolverOptions solver;
-  /// Seeded deterministic fault injection (verify/faults.hpp); a default
-  /// plan injects nothing. Worker/frame faults only bite on the process
-  /// backend; solver and cache faults bite everywhere.
-  FaultPlan faults;
-  /// Retry unknown verdicts once on a fresh context with the timeout
-  /// multiplied by escalation_timeout_mult and the solver seed perturbed,
-  /// before accepting unknown. Widening-only: a definitive escalated
-  /// answer replaces unknown, never the other way around.
-  bool escalate_unknown = true;
-  std::uint32_t escalation_timeout_mult = 2;
 };
 
 struct VerifyResult {
@@ -93,18 +80,16 @@ struct VerifyResult {
   bool from_cache = false;
 };
 
-/// Log2-bucketed per-job solve times: bucket i counts jobs whose solve time
-/// fell in [2^(i-1), 2^i) ms (bucket 0 is < 1 ms). The raw samples are
-/// kept alongside the buckets (one entry per solver call - bounded by the
-/// batch's job count) so the tail is reportable exactly: BENCH_parallel
-/// and the CLI summary surface p50/p95/max, not just the mean.
+/// Per-job solve times, one sample per solver call (bounded by the batch's
+/// job count), so the tail is reportable exactly: BENCH_parallel and the
+/// CLI summary surface p50/p95/max, not just the mean. to_string renders
+/// log2 buckets: bucket i counts samples in [2^(i-1), 2^i) ms (bucket 0 is
+/// < 1 ms).
 struct TimingHistogram {
-  std::vector<std::size_t> buckets;
   /// Every recorded sample, in record order.
   std::vector<std::chrono::milliseconds> raw;
 
-  void record(std::chrono::milliseconds ms);
-  [[nodiscard]] std::size_t samples() const;
+  void record(std::chrono::milliseconds ms) { raw.push_back(ms); }
   /// Nearest-rank percentile (p in [0, 100]) of the raw samples; 0ms when
   /// empty. percentile(100) is the max.
   [[nodiscard]] std::chrono::milliseconds percentile(double p) const;
@@ -196,12 +181,6 @@ struct BatchResult : SessionCounters {
 /// Reads a counterexample schedule out of a satisfying model.
 [[nodiscard]] Trace extract_trace(const encode::Encoding& encoding,
                                   const smt::SmtModel& model);
-
-/// The session-level robustness policy `options` asks for (fault injector
-/// + escalation knobs), applied to every SolverSession the engine - or a
-/// wire worker - solves with.
-[[nodiscard]] SessionResilience session_resilience(
-    const VerifyOptions& options);
 
 /// The policy classes a verification run plans with: inferred
 /// (configuration fingerprints refined by per-scenario reachability

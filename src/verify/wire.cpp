@@ -167,15 +167,39 @@ void write_frame(std::FILE* out, FrameType type, std::string_view payload) {
 
 // --- payload codecs ---------------------------------------------------------
 
+namespace {
+
+/// The SessionPolicy codec: every field of the policy, in declaration
+/// order. The fault plan travels as its canonical spec string.
+void write_policy(PayloadWriter& w, const SessionPolicy& policy) {
+  w.u32(policy.solver.timeout_ms);
+  w.u32(policy.solver.seed);
+  w.u8(policy.warm_solving ? 1 : 0);
+  w.str(policy.faults.to_string());
+  w.u8(policy.escalate_unknown ? 1 : 0);
+}
+
+SessionPolicy read_policy(PayloadReader& r) {
+  SessionPolicy policy;
+  policy.solver.timeout_ms = r.u32();
+  policy.solver.seed = r.u32();
+  policy.warm_solving = r.u8() != 0;
+  const std::string plan = r.str();
+  try {
+    policy.faults = FaultPlan::parse(plan);
+  } catch (const Error& e) {
+    corrupt(std::string("bad fault plan: ") + e.what());
+  }
+  policy.escalate_unknown = r.u8() != 0;
+  return policy;
+}
+
+}  // namespace
+
 std::string encode_model(const WireModel& model) {
   PayloadWriter w;
   w.u32(model.worker_index);
-  w.u8(model.warm_solving ? 1 : 0);
-  w.u32(model.solver.timeout_ms);
-  w.u32(model.solver.seed);
-  w.str(model.fault_plan);
-  w.u8(model.escalate_unknown ? 1 : 0);
-  w.u32(model.escalation_timeout_mult);
+  write_policy(w, model.policy);
   w.str(model.spec_text);
   return std::move(w).take();
 }
@@ -184,12 +208,7 @@ WireModel decode_model(std::string_view payload) {
   PayloadReader r(payload);
   WireModel model;
   model.worker_index = r.u32();
-  model.warm_solving = r.u8() != 0;
-  model.solver.timeout_ms = r.u32();
-  model.solver.seed = r.u32();
-  model.fault_plan = r.str();
-  model.escalate_unknown = r.u8() != 0;
-  model.escalation_timeout_mult = r.u32();
+  model.policy = read_policy(r);
   model.spec_text = r.str();
   r.finish();
   return model;
@@ -476,7 +495,7 @@ void write_result_frame(std::FILE* out, const WireResult& result,
 int worker_main(std::FILE* in, std::FILE* out) {
   std::optional<io::Spec> spec;
   std::optional<SolverSession> session;
-  FaultInjector injector;
+  const FaultInjector no_faults;
   std::uint32_t worker_ordinal = 0;
   std::uint64_t dispatch_k = 0;
   std::uint64_t frames_written = 0;
@@ -488,10 +507,13 @@ int worker_main(std::FILE* in, std::FILE* out) {
     while (read_frame(in, type, payload)) {
       if (type == FrameType::model) {
         const WireModel model = decode_model(payload);
-        // A spec the parser rejects must not kill the worker: the jobs of
-        // this group get structured errors (and a requeue elsewhere burns
-        // bounded attempts), while the worker stays alive for the next
-        // group. Only stream-level corruption is fatal.
+        // A new model starts a new shape group on a fresh session under the
+        // frame's policy (dropped first: its transfer memo points into the
+        // old spec's network). A spec the parser rejects must not kill the
+        // worker: the jobs of this group get structured errors (and a
+        // requeue elsewhere burns bounded attempts), while the worker stays
+        // alive for the next group. Only stream-level corruption is fatal.
+        session.reset();
         spec.reset();
         model_error.clear();
         try {
@@ -499,34 +521,13 @@ int worker_main(std::FILE* in, std::FILE* out) {
         } catch (const std::exception& e) {
           model_error = std::string("projected spec rejected: ") + e.what();
         }
-        if (!session) {
-          session.emplace(model.solver, model.warm_solving);
-        } else {
-          // A new model starts a new shape group; the next warm_bind would
-          // miss anyway (different model object), this just frees the old
-          // context eagerly.
-          session->reset_warm();
-        }
-        // The dispatcher's plan plus the legacy VMN_WORKER_FAULT env shim
-        // (kill:<i> / kill-all). A malformed env value is ignored, like
-        // the bespoke parser it replaced used to.
+        session.emplace(model.policy);
         worker_ordinal = model.worker_index;
-        FaultPlan plan;
-        try {
-          plan = FaultPlan::parse(model.fault_plan);
-          plan.merge(FaultPlan::from_env());
-        } catch (const Error&) {
-        }
-        injector = FaultInjector(std::move(plan));
-        SessionResilience resilience;
-        resilience.faults = injector;
-        resilience.escalate_unknown = model.escalate_unknown;
-        resilience.escalation_timeout_mult = model.escalation_timeout_mult;
-        session->set_resilience(std::move(resilience));
         continue;
       }
       if (type != FrameType::job) return 3;  // results flow the other way
       const WireJob job = decode_job(payload);
+      const FaultInjector& injector = session ? session->faults() : no_faults;
       const std::uint64_t k = dispatch_k++;
       if (injector.crash_worker(worker_ordinal, k) ||
           injector.crash_on_job(job.id)) {

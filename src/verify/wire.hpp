@@ -4,7 +4,7 @@
 // subcommand speak a framed, versioned binary protocol over pipes:
 //
 //   dispatcher -> worker:  MODEL frame   (slice-projected spec text plus the
-//                                         session options; one per shape
+//                                         session policy; one per shape
 //                                         group - re-parsing a small slice is
 //                                         cheaper than shipping the network)
 //                          JOB frames    (encode-space invariant + encode
@@ -63,8 +63,11 @@ class WireError : public Error {
 /// and the canonical key - workers return encode-space results and the
 /// dispatcher fans each verdict out to its bindings (verify::bind_result),
 /// so frames shrink and a merged equivalence class crosses the pipe once.
+/// v4 -> v5: MODEL frames carry one verify::SessionPolicy (solver options,
+/// warm solving, fault plan, escalate_unknown) through one codec; the
+/// escalation timeout multiplier left the frame (a constant now).
 /// Version skew on either side is a WireError, never a misread.
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Upper bound on a single payload (a projected spec of a pathological
 /// slice stays far below this; anything larger is a corrupt length field).
@@ -106,15 +109,8 @@ struct WireModel {
   /// replacements fresh ordinals after that, so targeted fault knobs
   /// (FaultPlan::kill_worker) hit one incarnation, not a slot forever.
   std::uint32_t worker_index = 0;
-  bool warm_solving = true;
-  smt::SolverOptions solver;
-  /// Serialized verify::FaultPlan (FaultPlan::to_string; empty = none).
-  /// The worker merges the legacy VMN_WORKER_FAULT env shim on top.
-  std::string fault_plan;
-  /// Unknown-verdict escalation policy (VerifyOptions::escalate_unknown /
-  /// escalation_timeout_mult), applied worker-side in verify_members.
-  bool escalate_unknown = false;
-  std::uint32_t escalation_timeout_mult = 2;
+  /// The dispatcher's session policy; the worker solves under exactly this.
+  SessionPolicy policy;
   /// io::write_projected_spec output (network only, no invariants).
   std::string spec_text;
 };
@@ -209,17 +205,15 @@ struct ResolvedJob {
                                             const WireResult& result);
 
 /// The worker loop behind `vmn worker` and the fork-mode ProcessPool child:
-/// reads MODEL/JOB frames from `in`, executes jobs with a persistent
-/// SolverSession (warm reuse within each model's job run), writes RESULT
+/// reads MODEL/JOB frames from `in`, executes each model's jobs on one
+/// SolverSession (warm reuse within the model's job run), writes RESULT
 /// frames to `out`. Returns 0 on clean EOF, non-zero after a protocol
 /// error (the dispatcher sees the closed pipe and requeues).
 ///
-/// Fault injection: the MODEL frame carries a serialized verify::FaultPlan
-/// (worker crash/hang at dispatch k, per-job crash loops, frame
-/// corruption/truncation on write, forced solver unknowns/timeouts); the
-/// worker merges the legacy VMN_WORKER_FAULT env shim (`kill:<i>` /
-/// `kill-all`, via FaultPlan::from_env) on top, so the historical chaos
-/// knob keeps working with no bespoke parsing here.
+/// Each MODEL frame starts a fresh SolverSession under the frame's policy.
+/// Its fault plan drives the worker-side faults too (worker crash/hang at
+/// dispatch k, per-job crash loops, frame corruption/truncation on write)
+/// alongside the session's forced solver unknowns/timeouts.
 int worker_main(std::FILE* in, std::FILE* out);
 
 }  // namespace vmn::verify::wire

@@ -114,17 +114,6 @@ TEST(FaultPlanUnit, DecisionsAreDeterministicPerSeed) {
   EXPECT_TRUE(any_spared);
 }
 
-TEST(FaultPlanUnit, EnvShimParsesKillSpecs) {
-  setenv("VMN_WORKER_FAULT", "kill:2", 1);
-  EXPECT_EQ(FaultPlan::from_env().kill_worker, 2);
-  setenv("VMN_WORKER_FAULT", "kill-all", 1);
-  EXPECT_TRUE(FaultPlan::from_env().kill_all);
-  setenv("VMN_WORKER_FAULT", "explode", 1);
-  EXPECT_THROW(FaultPlan::from_env(), Error);
-  unsetenv("VMN_WORKER_FAULT");
-  EXPECT_FALSE(FaultPlan::from_env().enabled());
-}
-
 TEST(RespawnBackoff, DeterministicCappedAndJittered) {
   using std::chrono::milliseconds;
   const milliseconds base{25};
@@ -321,46 +310,51 @@ TEST(Deadline, ExpiryYieldsPartialResultsWithAccurateCounters) {
 TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // solver-unknown forces every *initial* check to unknown; the
   // escalation retry (bumped timeout, perturbed seed) runs fault-free and
-  // must rescue every one of them - counters tell the story exactly.
+  // must rescue every one of them - counters tell the story exactly. The
+  // process backend gets the same policy through its MODEL frames, so
+  // both backends must tell the same story.
   scenarios::Enterprise e = small_enterprise(4);
   BatchResult reference =
       Engine(e.model, thread_opts()).run_batch(e.invariants);
 
-  EngineOptions faulted = thread_opts();
-  faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
-  BatchResult r =
-      Engine(e.model, faulted).run_batch(e.invariants);
-  EXPECT_EQ(r.escalations, r.pool.jobs_executed);
-  EXPECT_EQ(r.escalations_rescued, r.escalations);
-  EXPECT_FALSE(r.degradation.degraded());  // every verdict recovered
-  ASSERT_EQ(r.results.size(), reference.results.size());
-  for (std::size_t i = 0; i < r.results.size(); ++i) {
-    EXPECT_EQ(r.results[i].outcome, reference.results[i].outcome) << i;
-    EXPECT_NE(r.results[i].outcome, Outcome::unknown) << i;
-  }
-  // Persistent faults are counted but not rescued: solver-timeout holds
-  // at every attempt, so escalation fires and fails, and every verdict
-  // stays unknown.
-  EngineOptions timeouts = thread_opts();
-  timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
-  BatchResult t =
-      Engine(e.model, timeouts).run_batch(e.invariants);
-  EXPECT_EQ(t.escalations, t.pool.jobs_executed);
-  EXPECT_EQ(t.escalations_rescued, 0u);
-  for (const VerifyResult& res : t.results) {
-    EXPECT_EQ(res.outcome, Outcome::unknown);
-  }
+  for (const Backend backend : {Backend::thread, Backend::process}) {
+    SCOPED_TRACE(to_string(backend));
+    EngineOptions base = thread_opts();
+    base.backend = backend;
 
-  // With escalation disabled the transient faults stick: no retries, all
-  // unknown.
-  EngineOptions off = thread_opts();
-  off.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
-  off.verify.escalate_unknown = false;
-  BatchResult n =
-      Engine(e.model, off).run_batch(e.invariants);
-  EXPECT_EQ(n.escalations, 0u);
-  for (const VerifyResult& res : n.results) {
-    EXPECT_EQ(res.outcome, Outcome::unknown);
+    EngineOptions faulted = base;
+    faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
+    BatchResult r = Engine(e.model, faulted).run_batch(e.invariants);
+    EXPECT_EQ(r.escalations, r.pool.jobs_executed);
+    EXPECT_EQ(r.escalations_rescued, r.escalations);
+    EXPECT_FALSE(r.degradation.degraded());  // every verdict recovered
+    ASSERT_EQ(r.results.size(), reference.results.size());
+    for (std::size_t i = 0; i < r.results.size(); ++i) {
+      EXPECT_EQ(r.results[i].outcome, reference.results[i].outcome) << i;
+      EXPECT_NE(r.results[i].outcome, Outcome::unknown) << i;
+    }
+    // Persistent faults are counted but not rescued: solver-timeout holds
+    // at every attempt, so escalation fires and fails, and every verdict
+    // stays unknown.
+    EngineOptions timeouts = base;
+    timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
+    BatchResult t = Engine(e.model, timeouts).run_batch(e.invariants);
+    EXPECT_EQ(t.escalations, t.pool.jobs_executed);
+    EXPECT_EQ(t.escalations_rescued, 0u);
+    for (const VerifyResult& res : t.results) {
+      EXPECT_EQ(res.outcome, Outcome::unknown);
+    }
+
+    // With escalation disabled the transient faults stick: no retries, all
+    // unknown.
+    EngineOptions off = base;
+    off.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
+    off.verify.escalate_unknown = false;
+    BatchResult n = Engine(e.model, off).run_batch(e.invariants);
+    EXPECT_EQ(n.escalations, 0u);
+    for (const VerifyResult& res : n.results) {
+      EXPECT_EQ(res.outcome, Outcome::unknown);
+    }
   }
 }
 

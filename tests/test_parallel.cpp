@@ -894,15 +894,6 @@ EngineOptions process_opts(std::size_t jobs) {
   return opts;
 }
 
-/// Scoped VMN_WORKER_FAULT (the worker fault-injection hook, wire.hpp);
-/// unset even when an assertion fails mid-test.
-struct FaultGuard {
-  explicit FaultGuard(const char* fault) {
-    setenv("VMN_WORKER_FAULT", fault, 1);
-  }
-  ~FaultGuard() { unsetenv("VMN_WORKER_FAULT"); }
-};
-
 void expect_process_matches_thread(const encode::NetworkModel& model,
                                    const Batch& batch) {
   BatchResult thread_r =
@@ -1139,9 +1130,9 @@ TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   BatchResult reference =
       Engine(e.model, with_jobs(2)).run_batch(e.invariants);
 
-  FaultGuard fault("kill:0");
-  BatchResult r =
-      Engine(e.model, process_opts(2)).run_batch(e.invariants);
+  EngineOptions opts = process_opts(2);
+  opts.verify.faults.kill_worker = 0;
+  BatchResult r = Engine(e.model, opts).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_spawned, 3u);  // initial fleet of 2 + 1 respawn
   EXPECT_EQ(r.pool.workers_crashed, 1u);
   EXPECT_EQ(r.degradation.workers_respawned, 1u);
@@ -1164,9 +1155,9 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
   p.hosts_per_subnet = 1;
   scenarios::Enterprise e = scenarios::make_enterprise(p);
 
-  FaultGuard fault("kill-all");
-  BatchResult r =
-      Engine(e.model, process_opts(2)).run_batch(e.invariants);
+  EngineOptions opts = process_opts(2);
+  opts.verify.faults.kill_all = true;
+  BatchResult r = Engine(e.model, opts).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_crashed, r.pool.workers_spawned);
   EXPECT_EQ(r.pool.jobs_abandoned, r.pool.jobs_executed);
   EXPECT_EQ(r.solver_calls, 0u);
@@ -1177,7 +1168,7 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
 }
 
 TEST(SolverPoolTest, RunsEveryJobExactlyOnceAcrossWorkers) {
-  SolverPool pool(3, smt::SolverOptions{});
+  SolverPool pool(3, SessionPolicy{});
   EXPECT_EQ(pool.size(), 3u);
   constexpr std::size_t kJobs = 17;
   std::vector<std::atomic<int>> hits(kJobs);
@@ -1194,7 +1185,7 @@ TEST(SolverPoolTest, RunsEveryJobExactlyOnceAcrossWorkers) {
 }
 
 TEST(SolverPoolTest, PropagatesJobExceptions) {
-  SolverPool pool(2, smt::SolverOptions{});
+  SolverPool pool(2, SessionPolicy{});
   EXPECT_THROW(
       pool.run(5,
                [&](std::size_t job, SolverSession&) {

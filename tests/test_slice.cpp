@@ -763,7 +763,7 @@ TEST(PolicyClasses, TargetAwareRepresentativesReachTheTarget) {
   coarse_opts.refine_by_reachability = false;
   PolicyClasses coarse = infer_policy_classes(s.model, coarse_opts);
   Slice unsound = compute_slice(s.model, inv, coarse);
-  verify::SolverSession session{smt::SolverOptions{}};
+  verify::SolverSession session{verify::SessionPolicy{}};
   verify::VerifyResult wrong = verify::verify_members(
       s.model, inv, unsound.members, /*max_failures=*/0, session);
   EXPECT_EQ(wrong.outcome, verify::Outcome::holds);

@@ -161,6 +161,47 @@ TEST_F(SmtTest, FormulaShapedInterpretationsYieldExactEvents) {
   EXPECT_EQ(earliest, want);
 }
 
+TEST_F(SmtTest, EntryListInterpretationsYieldExactEvents) {
+  // Quantifier-free ground atoms make Z3 interpret snd/rcv/fail as finite
+  // entry lists over a `false` default (the negated atoms outnumber the
+  // asserted ones, which tips the default). The probe closes every cell no
+  // entry names and harvests the entry times, so the events are exactly
+  // the asserted atoms: a send A->B at 3, a receive B->A at 7, OMEGA
+  // failing at 4.
+  auto s = solver();
+  l::TermPtr node_a = vocab.node_const("A");
+  l::TermPtr node_b = vocab.node_const("B");
+  l::TermPtr omega = vocab.node_const("OMEGA");
+  l::TermPtr wp = f.var("wp", vocab.packet_sort());
+  s->add(vocab.snd_at(node_a, node_b, wp, f.int_val(3)));
+  s->add(f.not_(vocab.snd_at(node_b, node_a, wp, f.int_val(3))));
+  s->add(f.not_(vocab.snd_at(node_a, node_a, wp, f.int_val(3))));
+  s->add(f.not_(vocab.snd_at(node_a, node_b, wp, f.int_val(2))));
+  s->add(vocab.rcv_at(node_b, node_a, wp, f.int_val(7)));
+  s->add(f.not_(vocab.rcv_at(node_a, node_b, wp, f.int_val(7))));
+  s->add(f.not_(vocab.rcv_at(node_b, node_a, wp, f.int_val(6))));
+  s->add(vocab.fail_at(omega, f.int_val(4)));
+  s->add(f.not_(vocab.fail_at(node_a, f.int_val(4))));
+  s->add(f.not_(vocab.fail_at(node_b, f.int_val(4))));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  SmtModel m = s->model();
+
+  // (kind, from, to) -> earliest time seen.
+  std::map<std::tuple<EventKind, std::size_t, std::size_t>, std::int64_t>
+      earliest;
+  for (const ModelEvent& ev : m.events) {
+    auto [it, fresh] =
+        earliest.emplace(std::make_tuple(ev.kind, ev.from, ev.to), ev.time);
+    if (!fresh) it->second = std::min(it->second, ev.time);
+  }
+  const std::map<std::tuple<EventKind, std::size_t, std::size_t>,
+                 std::int64_t>
+      want = {{{EventKind::send, 0 /* A */, 1 /* B */}, 3},
+              {{EventKind::receive, 1 /* B */, 0 /* A */}, 7},
+              {{EventKind::fail, 2 /* OMEGA */, 2}, 4}};
+  EXPECT_EQ(earliest, want);
+}
+
 TEST_F(SmtTest, ModelBeforeCheckThrows) {
   auto s = solver();
   EXPECT_THROW((void)s->model(), SolverError);

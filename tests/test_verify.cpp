@@ -335,5 +335,22 @@ TEST(Verify, NoSliceModeUsesWholeNetwork) {
   EXPECT_EQ(r.outcome, Outcome::holds);
 }
 
+TEST(TimingHistogram, BucketsAndPercentilesOfFixedSamples) {
+  using std::chrono::milliseconds;
+  TimingHistogram h;
+  EXPECT_EQ(h.to_string(), "(no samples)");
+  EXPECT_EQ(h.percentile(50), milliseconds(0));
+  for (const long long ms : {0, 1, 3, 3, 12, 0, 900}) {
+    h.record(milliseconds(ms));
+  }
+  // Log2 buckets, in bucket order: <1 ms, [1,2), [2,4), [8,16), [512,1024).
+  EXPECT_EQ(h.to_string(), "<1ms:2 1-2ms:1 2-4ms:2 8-16ms:1 512-1024ms:1");
+  // Nearest-rank over the sorted samples 0 0 1 3 3 12 900.
+  EXPECT_EQ(h.percentile(0), milliseconds(0));
+  EXPECT_EQ(h.percentile(50), milliseconds(3));
+  EXPECT_EQ(h.percentile(95), milliseconds(900));
+  EXPECT_EQ(h.max(), milliseconds(900));
+}
+
 }  // namespace
 }  // namespace vmn::verify

@@ -115,17 +115,33 @@ TEST(WireFraming, TruncatedStreamsFailCleanlyNotSilently) {
 // --- payload codecs ---------------------------------------------------------
 
 TEST(WirePayloads, ModelRoundTripsFieldForField) {
+  // Every SessionPolicy field is set away from its default, so a field the
+  // codec dropped would decode back to the default and fail here.
   WireModel model;
   model.worker_index = 5;
-  model.warm_solving = false;
-  model.solver.timeout_ms = 1234;
-  model.solver.seed = 42;
+  model.policy.solver.timeout_ms = 1234;
+  model.policy.solver.seed = 42;
+  model.policy.warm_solving = false;
+  model.policy.faults =
+      FaultPlan::parse("seed=9,solver-unknown=0.5,kill=1,crash-job=3");
+  model.policy.escalate_unknown = false;
   model.spec_text = "host a 10.0.0.1\nhost b 10.0.1.1\n";
+  const SessionPolicy defaults;
+  ASSERT_NE(model.policy.solver.timeout_ms, defaults.solver.timeout_ms);
+  ASSERT_NE(model.policy.solver.seed, defaults.solver.seed);
+  ASSERT_NE(model.policy.warm_solving, defaults.warm_solving);
+  ASSERT_NE(model.policy.faults.to_string(), defaults.faults.to_string());
+  ASSERT_NE(model.policy.escalate_unknown, defaults.escalate_unknown);
+
   const WireModel back = decode_model(encode_model(model));
   EXPECT_EQ(back.worker_index, model.worker_index);
-  EXPECT_EQ(back.warm_solving, model.warm_solving);
-  EXPECT_EQ(back.solver.timeout_ms, model.solver.timeout_ms);
-  EXPECT_EQ(back.solver.seed, model.solver.seed);
+  EXPECT_EQ(back.policy.solver.timeout_ms, model.policy.solver.timeout_ms);
+  EXPECT_EQ(back.policy.solver.seed, model.policy.solver.seed);
+  EXPECT_EQ(back.policy.warm_solving, model.policy.warm_solving);
+  EXPECT_EQ(back.policy.faults.to_string(), model.policy.faults.to_string());
+  EXPECT_EQ(back.policy.faults.kill_worker, 1);
+  EXPECT_EQ(back.policy.faults.crash_job, 3);
+  EXPECT_EQ(back.policy.escalate_unknown, model.policy.escalate_unknown);
   EXPECT_EQ(back.spec_text, model.spec_text);
 }
 
@@ -210,9 +226,9 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_TRUE(back.trace[1].malicious);
   EXPECT_EQ(back.trace[1].app_class, send.app_class);
 
-  // The v4 RESULT layout, byte for byte: fixed header fields, the seven
-  // session counters as u64s in kSessionFields order, empty error, no
-  // trace. Re-pin only together with a kWireVersion bump.
+  // The RESULT layout (unchanged since v4), byte for byte: fixed header
+  // fields, the seven session counters as u64s in kSessionFields order,
+  // empty error, no trace. Re-pin only together with a kWireVersion bump.
   result.has_trace = false;
   result.trace.clear();
   std::string hex;
@@ -276,7 +292,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 
   for (const Job& job : plan.jobs) {
     const encode::Invariant& invariant = batch.invariants[job.invariant_index];
-    SolverSession local_session(popts.verify.solver);
+    SolverSession local_session(popts.verify);
     // The local reference run encodes the job's own slice directly -
     // never through an isomorphic representative - so the round trip below
     // also asserts that executing the encode-space problem remotely and
@@ -285,7 +301,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
                                               max_failures, local_session);
 
     WireModel wire_model;
-    wire_model.solver = popts.verify.solver;
+    wire_model.policy = popts.verify;
     // Project what the dispatcher projects: v4 jobs cross the pipe in
     // encode space, so the encode member set is the whole span.
     wire_model.spec_text =
@@ -298,7 +314,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 
     io::Spec remote_spec = io::parse_spec_string(model_back.spec_text);
     ResolvedJob resolved = resolve_job(remote_spec.model, wire_job);
-    SolverSession remote_session(popts.verify.solver);
+    SolverSession remote_session(model_back.policy);
     const VerifyResult remote =
         verify_members(remote_spec.model, resolved.invariant,
                        std::move(resolved.members), wire_job.max_failures,
@@ -496,7 +512,7 @@ TEST(WireWorker, RejectedModelYieldsStructuredJobErrorsNotDeath) {
   write_frame(in.f, FrameType::job, encode_job(job));
   // A good model after the bad one: the worker must have survived.
   WireModel good_model;
-  good_model.solver.timeout_ms = 5000;
+  good_model.policy.solver.timeout_ms = 5000;
   good_model.spec_text =
       "host a 10.0.0.1\nhost b 10.0.1.1\nswitch s\n"
       "link a s\nlink b s\n"

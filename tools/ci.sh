@@ -84,6 +84,19 @@ if grep -rEn 'z3::solver( +[A-Za-z_][A-Za-z0-9_]*)? *[({] *[A-Za-z_][A-Za-z0-9_]
   exit 1
 fi
 
+echo "--- lint: one session policy (no per-layer copies, no env fault shim) ---"
+# Solver options, warm solving, the fault plan and unknown escalation are
+# one SessionPolicy value (src/verify/solver_pool.hpp) that every layer
+# takes whole; worker kills are injected only through --faults. These
+# names are how the per-layer copies and the env-var side channel grow
+# back.
+if grep -rEn 'SessionResilience|escalation_timeout_mult|VMN_WORKER_FAULT|from_env\(' \
+    "$repo/src"; then
+  echo "ci: session settings copied outside SessionPolicy, or a fault" \
+       "injected from the environment; extend SessionPolicy or FaultPlan" >&2
+  exit 1
+fi
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
@@ -146,8 +159,8 @@ if ! diff <(echo "$thread_verdicts") <(echo "$process_out" | verdicts); then
 fi
 
 echo "--- smoke: worker killed mid-batch (requeue, no lost invariants) ---"
-kill_out="$(VMN_WORKER_FAULT=kill:0 "$build/vmn" verify "$spec" --batch \
-    --jobs 2 --backend=process)"
+kill_out="$("$build/vmn" verify "$spec" --batch --jobs 2 --backend=process \
+    --faults kill=0)"
 echo "$kill_out"
 if ! echo "$kill_out" | grep -q "1 crashed"; then
   echo "ci: killed worker was not observed as crashed" >&2
