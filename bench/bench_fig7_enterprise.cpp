@@ -5,6 +5,14 @@
 //
 // The paper plots network sizes 17/47/77 (hosts + middleboxes); subnets are
 // swept here to produce a comparable size axis.
+//
+// The classes/subnets=N records track the set-up the figure leaves out:
+// policy-class inference (Engine::policy_classes) at 50-400 subnets. Host
+// and class counts are pinned by bench/trajectory/; wall_ms is the median
+// over the run's iterations.
+#include <algorithm>
+#include <chrono>
+
 #include "bench_common.hpp"
 #include "scenarios/enterprise.hpp"
 
@@ -47,6 +55,34 @@ void run(benchmark::State& state, int invariant_index, bool use_slices) {
       {{"verify_ms", mean_ms}, {"edge_nodes", edge_nodes}});
 }
 
+void BM_Classes(benchmark::State& state) {
+  const int subnets = static_cast<int>(state.range(0));
+  std::vector<double> wall_ms;
+  std::size_t hosts = 0;
+  std::size_t classes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Enterprise ent = make(subnets);
+    Engine v(ent.model, VerifyOptions{});
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    classes = v.policy_classes().count();
+    benchmark::DoNotOptimize(classes);
+    wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    hosts = ent.model.network().hosts().size();
+  }
+  std::sort(wall_ms.begin(), wall_ms.end());
+  const double median_ms = wall_ms.empty() ? 0 : wall_ms[wall_ms.size() / 2];
+  state.counters["classes"] = benchmark::Counter(static_cast<double>(classes));
+  bench::BenchJson::instance().record(
+      "classes/subnets=" + std::to_string(subnets),
+      {{"hosts", static_cast<double>(hosts)},
+       {"classes", static_cast<double>(classes)},
+       {"wall_ms", median_ms}});
+}
+
 void BM_Public_Slice(benchmark::State& s) { run(s, 0, true); }
 void BM_Private_Slice(benchmark::State& s) { run(s, 1, true); }
 void BM_Quarantined_Slice(benchmark::State& s) { run(s, 2, true); }
@@ -68,6 +104,8 @@ BENCHMARK(BM_Private_Full)->Arg(6)->Arg(18)->Arg(30)->ArgNames({"subnets"})
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_Quarantined_Full)->Arg(6)->Arg(18)->Arg(30)
     ->ArgNames({"subnets"})->Unit(benchmark::kMillisecond)->Iterations(2);
+BENCHMARK(BM_Classes)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->ArgNames({"subnets"})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,9 @@
 #include "dataplane/transfer.hpp"
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <utility>
 
 #include "core/error.hpp"
 
@@ -21,13 +24,17 @@ TransferFunction::TransferFunction(const net::Network& network,
   (void)network.scenario(scenario);
 }
 
-std::vector<NodeId> TransferFunction::walk(NodeId from_edge, Address dst) const {
+std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
+                                            std::vector<NodeId>* path) const {
   const net::Network& net = *network_;
   if (!net.is_edge(from_edge)) {
     throw ModelError("transfer function input must be an edge node, got " +
                      net.name(from_edge));
   }
-  std::vector<NodeId> path{from_edge};
+  const auto visit = [path](NodeId n) {
+    if (path != nullptr) path->push_back(n);
+  };
+  visit(from_edge);
   // Note: a failed *edge* node may still source packets here - whether a
   // down middlebox emits anything is decided by its own axioms (fail-open
   // boxes keep forwarding); the static datapath just carries packets.
@@ -45,17 +52,32 @@ std::vector<NodeId> TransferFunction::walk(NodeId from_edge, Address dst) const 
     }
     if (net.is_edge(n) && net.node(n).kind == net::NodeKind::host &&
         net.node(n).address == dst) {
-      path.push_back(n);
-      return path;
+      visit(n);
+      return n;
     }
   }
-  if (!cur) return path;  // no alive attachment: dropped
+  if (!cur) return std::nullopt;  // no alive attachment: dropped
 
-  std::set<std::pair<NodeId, NodeId>> visited;  // (came_from, at-switch)
+  // (came_from, at-switch) pairs seen so far. Fabric walks are short, so
+  // the first few pairs live in a fixed buffer scanned linearly; only a
+  // walk longer than that spills into a set.
+  using Hop = std::pair<NodeId, NodeId>;
+  std::array<Hop, 16> recent;
+  std::size_t recent_count = 0;
+  std::set<Hop> spilled;
+  const auto first_visit = [&](Hop hop) {
+    const auto seen = recent.begin() + static_cast<std::ptrdiff_t>(recent_count);
+    if (std::find(recent.begin(), seen, hop) != seen) return false;
+    if (recent_count < recent.size()) {
+      recent[recent_count++] = hop;
+      return true;
+    }
+    return spilled.insert(hop).second;
+  };
   while (true) {
-    path.push_back(*cur);
-    if (net.is_edge(*cur)) return path;  // delivered to an edge node
-    if (!visited.insert({prev, *cur}).second) {
+    visit(*cur);
+    if (net.is_edge(*cur)) return cur;  // delivered to an edge node
+    if (!first_visit({prev, *cur})) {
       throw ForwardingLoopError("forwarding loop at switch " + net.name(*cur) +
                                 " for destination " + dst.to_string() +
                                 " (scenario " +
@@ -65,8 +87,8 @@ std::vector<NodeId> TransferFunction::walk(NodeId from_edge, Address dst) const 
     // Drop on blackholes and on failed *switches*; failed edge nodes still
     // receive (their failure mode decides what happens next).
     if (!next || (net.is_failed(*next, scenario_) && !net.is_edge(*next))) {
-      path.clear();
-      return path;
+      if (path != nullptr) path->clear();
+      return std::nullopt;
     }
     prev = *cur;
     cur = next;
@@ -79,15 +101,15 @@ std::optional<NodeId> TransferFunction::next_edge(NodeId from_edge,
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
-  std::vector<NodeId> p = walk(from_edge, dst);
-  std::optional<NodeId> result;
-  if (p.size() >= 2 && network_->is_edge(p.back())) result = p.back();
+  const std::optional<NodeId> result = walk(from_edge, dst, nullptr);
   cache_.emplace(key, result);
   return result;
 }
 
 std::vector<NodeId> TransferFunction::path(NodeId from_edge, Address dst) const {
-  return walk(from_edge, dst);
+  std::vector<NodeId> out;
+  (void)walk(from_edge, dst, &out);
+  return out;
 }
 
 const TransferFunction& TransferCache::at(ScenarioId scenario) {

@@ -41,7 +41,12 @@ class TransferFunction {
   [[nodiscard]] const net::Network& network() const { return *network_; }
 
  private:
-  [[nodiscard]] std::vector<NodeId> walk(NodeId from_edge, Address dst) const;
+  /// Walks the fabric from `from_edge` toward `dst` and returns the edge
+  /// node reached (nullopt when dropped). When `path` is non-null it
+  /// receives the visited nodes exactly as path() documents; next_edge
+  /// passes null, so its walks allocate nothing.
+  [[nodiscard]] std::optional<NodeId> walk(NodeId from_edge, Address dst,
+                                           std::vector<NodeId>* path) const;
 
   const net::Network* network_;
   ScenarioId scenario_;

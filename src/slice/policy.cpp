@@ -1,6 +1,7 @@
 #include "slice/policy.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -27,73 +28,290 @@ std::vector<Address> seed_addresses(const encode::NetworkModel& model) {
   return {out.begin(), out.end()};
 }
 
-/// Deliveries of packets injected at `from` under `tf`'s scenario,
-/// following middlebox rewrites and recording the traversed middleboxes
-/// per reached host (union over the explored paths; monotone worklist, so
-/// a state revisited with new boxes propagates them onward). This is
-/// static-dataplane deliverability: a middlebox is traversed, never
-/// dropped at - whether it *policy*-drops is the solver's business, and
-/// folding policy into the relation would make the classes depend on what
-/// is being verified. Which boxes the route *passes*, however, is routing,
-/// and exactly what distinguishes a policed sender from one whose in-port
-/// rules bypass the box.
-std::vector<Delivery> deliveries_from(const encode::NetworkModel& model,
-                                      const dataplane::TransferFunction& tf,
-                                      NodeId from,
-                                      const std::vector<Address>& seeds) {
-  const net::Network& net = model.network();
-  std::map<NodeId, std::set<NodeId>> delivered;        // target -> boxes
-  std::map<std::uint64_t, std::set<NodeId>> boxes_at;  // state -> boxes seen
-  std::vector<std::pair<NodeId, Address>> frontier;
-  const Address own = net.node(from).address;
-  const auto state_key = [](NodeId edge, Address dst) {
-    return (std::uint64_t{edge.value()} << 32) | dst.bits();
-  };
-  for (Address a : seeds) {
-    if (a == own) continue;
-    boxes_at[state_key(from, a)];  // empty box set
-    frontier.emplace_back(from, a);
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+std::uint64_t state_key(NodeId edge, Address dst) {
+  return (std::uint64_t{edge.value()} << 32) | dst.bits();
+}
+
+/// Interned middlebox sets (sorted node lists). Id 0 is the empty set;
+/// unions are memoized per id pair, so merging the same two sets again
+/// costs one hash lookup.
+class BoxSets {
+ public:
+  BoxSets() { (void)intern({}); }
+
+  std::uint32_t intern(std::vector<NodeId> boxes) {
+    const auto [it, fresh] = ids_.try_emplace(
+        std::move(boxes), static_cast<std::uint32_t>(sets_.size()));
+    if (fresh) sets_.push_back(&it->first);
+    return it->second;
   }
-  while (!frontier.empty()) {
-    const auto [edge, dst] = frontier.back();
-    frontier.pop_back();
-    const std::set<NodeId> boxes = boxes_at[state_key(edge, dst)];
+
+  std::uint32_t unite(std::uint32_t a, std::uint32_t b) {
+    if (a == b || b == 0) return a;
+    if (a == 0) return b;
+    if (a > b) std::swap(a, b);
+    const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+    if (const auto it = unions_.find(key); it != unions_.end()) {
+      return it->second;
+    }
+    std::vector<NodeId> merged;
+    std::set_union(at(a).begin(), at(a).end(), at(b).begin(), at(b).end(),
+                   std::back_inserter(merged));
+    const std::uint32_t id = intern(std::move(merged));
+    unions_.emplace(key, id);
+    return id;
+  }
+
+  [[nodiscard]] const std::vector<NodeId>& at(std::uint32_t id) const {
+    return *sets_[id];
+  }
+  [[nodiscard]] std::size_t size() const { return sets_.size(); }
+
+ private:
+  std::map<std::vector<NodeId>, std::uint32_t> ids_;
+  std::vector<const std::vector<NodeId>*> sets_;  // keys of ids_, by id
+  std::unordered_map<std::uint64_t, std::uint32_t> unions_;
+};
+
+/// Accumulates deliveries by target node, uniting the box sets of a
+/// repeated target. Indexed by node id and reset by take(), so reusing one
+/// accumulator costs only the targets each use touches.
+class DeliveryUnion {
+ public:
+  explicit DeliveryUnion(std::size_t nodes) : boxes_(nodes, kNone) {}
+
+  void add(NodeId target, std::uint32_t boxes, BoxSets& sets) {
+    std::uint32_t& known = boxes_[target.value()];
+    if (known == kNone) {
+      known = boxes;
+      touched_.push_back(target);
+    } else {
+      known = sets.unite(known, boxes);
+    }
+  }
+
+  /// The accumulated deliveries, sorted by target; empties the accumulator.
+  [[nodiscard]] std::vector<Delivery> take() {
+    std::sort(touched_.begin(), touched_.end());
+    std::vector<Delivery> out;
+    out.reserve(touched_.size());
+    for (NodeId t : touched_) {
+      out.push_back(Delivery{t, boxes_[t.value()]});
+      boxes_[t.value()] = kNone;
+    }
+    touched_.clear();
+    return out;
+  }
+
+ private:
+  std::vector<std::uint32_t> boxes_;  // per target node; kNone = untouched
+  std::vector<NodeId> touched_;
+};
+
+/// Delivery closures of one scenario's middlebox states, shared by every
+/// sender. A state (box, dst) is a packet that `box` emits toward `dst`;
+/// its closure is every host the packet can be delivered to from there,
+/// with the union over the explored paths of the boxes crossed, `box`
+/// included. This is static-dataplane deliverability: a middlebox is
+/// traversed, never dropped at - whether it *policy*-drops is the solver's
+/// business, and folding policy into the relation would make the classes
+/// depend on what is being verified. Which boxes the route *passes*,
+/// however, is routing, and exactly what distinguishes a policed sender
+/// from one whose in-port rules bypass the box.
+///
+/// States are explored lazily, and closures are computed per strongly
+/// connected component (Tarjan): every state of a middlebox cycle can reach
+/// every other, so all of them share one closure - the cycle's boxes united
+/// with whatever the component's exits reach.
+class BoxClosures {
+ public:
+  BoxClosures(const encode::NetworkModel& model,
+              const dataplane::TransferFunction& tf, BoxSets& sets)
+      : model_(&model),
+        tf_(&tf),
+        sets_(&sets),
+        acc_(model.network().node_count()) {}
+
+  /// Deliveries of a packet that reached `box` carrying destination `dst`:
+  /// the merged closures of the states the box emits it as (one per
+  /// forward_dsts destination).
+  const std::vector<Delivery>& entry(const mbox::Middlebox& box, Address dst) {
+    const std::uint64_t key = state_key(box.node(), dst);
+    if (const auto it = entries_.find(key); it != entries_.end()) {
+      return it->second;
+    }
+    std::vector<std::uint32_t> emitted;
+    for (Address onward : box.forward_dsts(dst)) {
+      emitted.push_back(state(box.node(), onward));
+      solve(emitted.back());
+    }
+    for (std::uint32_t s : emitted) {
+      for (const Delivery& d : closures_[states_[s].closure]) {
+        acc_.add(d.target, d.boxes, *sets_);
+      }
+    }
+    return entries_.emplace(key, acc_.take()).first->second;
+  }
+
+ private:
+  struct State {
+    NodeId box;
+    Address dst;
+    std::optional<NodeId> delivers;  // host the emission lands on
+    std::vector<std::uint32_t> next;  // successor states
+    std::uint32_t index = kNone;      // Tarjan visit order
+    std::uint32_t low = 0;
+    bool on_stack = false;
+    std::uint32_t closure = kNone;  // into closures_, once its SCC is done
+  };
+
+  std::uint32_t state(NodeId box, Address dst) {
+    const auto [it, fresh] = state_ids_.try_emplace(
+        state_key(box, dst), static_cast<std::uint32_t>(states_.size()));
+    if (fresh) {
+      states_.emplace_back();
+      states_.back().box = box;
+      states_.back().dst = dst;
+    }
+    return it->second;
+  }
+
+  /// One transfer-function step from state `s`.
+  void expand(std::uint32_t s) {
+    const NodeId box = states_[s].box;
+    const Address dst = states_[s].dst;
     std::optional<NodeId> next;
     try {
-      next = tf.next_edge(edge, dst);
+      next = tf_->next_edge(box, dst);
     } catch (const ForwardingLoopError&) {
       // A static forwarding loop on this (source, destination) pair: no
       // packet is ever delivered along it, so for the class relation it is
       // a drop. Verification still surfaces the fault loudly - but only
-      // for invariants whose slice actually walks the looping pair, same
-      // as before inference walked the whole network.
-      continue;
+      // for invariants whose slice actually walks the looping pair.
+      return;
+    }
+    if (!next) return;
+    if (model_->network().kind(*next) == net::NodeKind::host) {
+      states_[s].delivers = *next;
+      return;
+    }
+    const mbox::Middlebox* onward_box = model_->middlebox_at(*next);
+    if (onward_box == nullptr) return;
+    for (Address onward : onward_box->forward_dsts(dst)) {
+      const std::uint32_t t = state(*next, onward);
+      states_[s].next.push_back(t);
+    }
+  }
+
+  /// Computes the closure of `root` and of every state it reaches.
+  void solve(std::uint32_t root) {
+    if (states_[root].closure != kNone) return;
+    std::vector<std::uint32_t> stack;
+    std::vector<std::pair<std::uint32_t, std::size_t>> frames;
+    const auto open = [&](std::uint32_t s) {
+      states_[s].index = states_[s].low = visits_++;
+      states_[s].on_stack = true;
+      stack.push_back(s);
+      expand(s);
+      frames.emplace_back(s, 0);
+    };
+    open(root);
+    while (!frames.empty()) {
+      const auto [s, i] = frames.back();
+      if (i < states_[s].next.size()) {
+        ++frames.back().second;
+        const std::uint32_t t = states_[s].next[i];
+        if (states_[t].closure != kNone) continue;  // finished component
+        if (states_[t].index == kNone) {
+          open(t);
+        } else if (states_[t].on_stack) {
+          states_[s].low = std::min(states_[s].low, states_[t].index);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        State& parent = states_[frames.back().first];
+        parent.low = std::min(parent.low, states_[s].low);
+      }
+      if (states_[s].low != states_[s].index) continue;
+      std::vector<std::uint32_t> members;
+      std::uint32_t m = kNone;
+      do {
+        m = stack.back();
+        stack.pop_back();
+        states_[m].on_stack = false;
+        members.push_back(m);
+      } while (m != s);
+      close_component(members);
+    }
+  }
+
+  /// Closure of one finished component: its own boxes, united with the
+  /// closures its exits reach (every exit is already closed; members are
+  /// not yet).
+  void close_component(const std::vector<std::uint32_t>& members) {
+    std::vector<NodeId> boxes;
+    for (std::uint32_t m : members) boxes.push_back(states_[m].box);
+    std::sort(boxes.begin(), boxes.end());
+    boxes.erase(std::unique(boxes.begin(), boxes.end()), boxes.end());
+    const std::uint32_t own = sets_->intern(std::move(boxes));
+    for (std::uint32_t m : members) {
+      if (states_[m].delivers) acc_.add(*states_[m].delivers, own, *sets_);
+      for (std::uint32_t t : states_[m].next) {
+        if (states_[t].closure == kNone) continue;  // same component
+        for (const Delivery& d : closures_[states_[t].closure]) {
+          acc_.add(d.target, sets_->unite(own, d.boxes), *sets_);
+        }
+      }
+    }
+    const auto id = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(acc_.take());
+    for (std::uint32_t m : members) states_[m].closure = id;
+  }
+
+  const encode::NetworkModel* model_;
+  const dataplane::TransferFunction* tf_;
+  BoxSets* sets_;
+  DeliveryUnion acc_;
+  std::vector<State> states_;
+  std::unordered_map<std::uint64_t, std::uint32_t> state_ids_;
+  std::uint32_t visits_ = 0;
+  std::vector<std::vector<Delivery>> closures_;
+  std::unordered_map<std::uint64_t, std::vector<Delivery>> entries_;
+};
+
+/// One host's deliveries under a scenario: one fabric walk per seed
+/// address, then the shared closure of the box the walk lands on.
+std::vector<Delivery> deliveries_from(const encode::NetworkModel& model,
+                                      const dataplane::TransferFunction& tf,
+                                      BoxClosures& closures, BoxSets& sets,
+                                      DeliveryUnion& acc, NodeId from,
+                                      const std::vector<Address>& seeds) {
+  const net::Network& net = model.network();
+  const Address own = net.node(from).address;
+  for (Address a : seeds) {
+    if (a == own) continue;
+    std::optional<NodeId> next;
+    try {
+      next = tf.next_edge(from, a);
+    } catch (const ForwardingLoopError&) {
+      continue;  // a looping (source, destination) pair delivers nothing
     }
     if (!next) continue;
     if (net.kind(*next) == net::NodeKind::host) {
-      if (*next != from) delivered[*next].insert(boxes.begin(), boxes.end());
+      if (*next != from) acc.add(*next, 0, sets);
       continue;
     }
     const mbox::Middlebox* box = model.middlebox_at(*next);
     if (box == nullptr) continue;
-    std::set<NodeId> onward_boxes = boxes;
-    onward_boxes.insert(*next);
-    for (Address onward : box->forward_dsts(dst)) {
-      std::set<NodeId>& known = boxes_at[state_key(*next, onward)];
-      const std::size_t before = known.size();
-      known.insert(onward_boxes.begin(), onward_boxes.end());
-      // (Re)visit when this path contributed boxes the state had not seen
-      // (first visits always do: onward_boxes holds at least this box).
-      // The set union grows monotonically, so this terminates.
-      if (known.size() != before) frontier.emplace_back(*next, onward);
+    for (const Delivery& d : closures.entry(*box, a)) {
+      if (d.target != from) acc.add(d.target, d.boxes, sets);
     }
   }
-  std::vector<Delivery> out;
-  out.reserve(delivered.size());
-  for (auto& [target, boxes] : delivered) {
-    out.push_back(Delivery{target, {boxes.begin(), boxes.end()}});
-  }
-  return out;
+  return acc.take();
 }
 
 using ReachMap = std::unordered_map<NodeId, std::vector<std::vector<Delivery>>>;
@@ -120,80 +338,89 @@ std::vector<std::size_t> scenarios_in_budget(
 /// by *configuration* is deliberately left to the fingerprint grouping and
 /// to representatives_for's instance-level subgrouping: a config digest
 /// here would split validly symmetric hosts whose paths cross
-/// corresponding-but-differently-addressed instances.)
+/// corresponding-but-differently-addressed instances.) Refined classes are
+/// ordered by their first member.
 void refine_by_reach(const encode::NetworkModel& model,
                      std::vector<std::vector<NodeId>>& classes,
                      const ReachMap& reach,
-                     const std::vector<std::size_t>& in_budget) {
-  // Type-level descriptor of a traversed path, shared by both directions
-  // and built from the same structural fingerprint the canonical slice key
-  // colors member boxes with.
-  const auto path_of = [&](const std::vector<NodeId>& boxes) {
+                     const std::vector<std::size_t>& in_budget,
+                     const BoxSets& sets) {
+  const net::Network& net = model.network();
+  // Type-level path descriptor per box set: the sorted structural
+  // fingerprints of its boxes (the same fingerprint the canonical slice
+  // key colors member boxes with), interned so equal descriptors share an
+  // id across sets.
+  std::map<std::vector<std::string>, std::uint32_t> descriptor_ids;
+  std::vector<std::uint32_t> path_of(sets.size());
+  for (std::uint32_t id = 0; id < sets.size(); ++id) {
     std::vector<std::string> types;
-    types.reserve(boxes.size());
-    for (NodeId b : boxes) {
-      const mbox::Middlebox* box = model.middlebox_at(b);
-      if (box == nullptr) continue;
-      types.push_back(box->structural_fingerprint());
+    for (NodeId b : sets.at(id)) {
+      if (const mbox::Middlebox* box = model.middlebox_at(b)) {
+        types.push_back(box->structural_fingerprint());
+      }
     }
     std::sort(types.begin(), types.end());
-    std::string out = "[";
-    for (const std::string& t : types) out += t + ",";
-    return out + "]";
-  };
-
-  // Both directions with their path strings, computed once (path_of sorts
-  // and concatenates; recomputing it per refinement round would redo that
-  // for every delivery every round): fwd[h][s] = (target, path) pairs,
-  // rev[t][s] = (source, path) pairs.
-  using Peers = std::vector<std::vector<std::pair<NodeId, std::string>>>;
-  std::unordered_map<NodeId, Peers> fwd;
-  std::unordered_map<NodeId, Peers> rev;
-  for (const auto& [h, per_scenario] : reach) {
-    fwd[h].resize(per_scenario.size());
-    rev[h].resize(per_scenario.size());
+    path_of[id] =
+        descriptor_ids
+            .try_emplace(std::move(types),
+                         static_cast<std::uint32_t>(descriptor_ids.size()))
+            .first->second;
   }
+
+  // Dense host indices and both directions per in-budget scenario:
+  // fwd[k * H + h] = (target, path) of h's deliveries under in_budget[k],
+  // rev[k * H + t] = (source, path) of the deliveries to t.
+  const std::vector<NodeId> hosts = net.hosts();
+  const std::size_t host_count = hosts.size();
+  std::vector<std::uint32_t> dense(net.node_count(), kNone);
+  for (std::size_t i = 0; i < host_count; ++i) {
+    dense[hosts[i].value()] = static_cast<std::uint32_t>(i);
+  }
+  struct Peer {
+    std::uint32_t host;
+    std::uint32_t path;
+  };
+  std::vector<std::vector<Peer>> fwd(in_budget.size() * host_count);
+  std::vector<std::vector<Peer>> rev(in_budget.size() * host_count);
   for (const auto& [h, per_scenario] : reach) {
-    for (std::size_t s = 0; s < per_scenario.size(); ++s) {
+    const std::uint32_t hi = dense[h.value()];
+    for (std::size_t k = 0; k < in_budget.size(); ++k) {
+      const std::size_t s = in_budget[k];
+      if (s >= per_scenario.size()) continue;
       for (const Delivery& d : per_scenario[s]) {
-        std::string path = path_of(d.boxes);
-        fwd[h][s].emplace_back(d.target, path);
-        rev[d.target][s].emplace_back(h, std::move(path));
+        const std::uint32_t ti = dense[d.target.value()];
+        const std::uint32_t path = path_of[d.boxes];
+        fwd[k * host_count + hi].push_back(Peer{ti, path});
+        rev[k * host_count + ti].push_back(Peer{hi, path});
       }
     }
   }
 
-  std::unordered_map<NodeId, std::size_t> cls;
+  std::vector<std::uint32_t> cls(host_count, kNone);
   const auto assign = [&] {
-    cls.clear();
     for (std::size_t i = 0; i < classes.size(); ++i) {
-      for (NodeId h : classes[i]) cls[h] = i;
+      for (NodeId h : classes[i]) {
+        cls[dense[h.value()]] = static_cast<std::uint32_t>(i);
+      }
     }
   };
   assign();
 
-  const auto side = [&](std::vector<std::string> parts) {
-    std::sort(parts.begin(), parts.end());
-    std::string sig;
-    for (const std::string& p : parts) sig += p + ",";
-    return sig;
-  };
-  const auto peer_parts = [&](const std::unordered_map<NodeId, Peers>& dir,
-                              NodeId h, std::size_t s) {
-    std::vector<std::string> parts;
-    const auto it = dir.find(h);
-    if (it != dir.end() && s < it->second.size()) {
-      for (const auto& [peer, path] : it->second[s]) {
-        parts.push_back(std::to_string(cls.at(peer)) + path);
-      }
-    }
-    return parts;
-  };
+  // Per in-budget scenario and direction: the peer count, then the sorted
+  // (peer class, path id) pairs. Compared whole - exact, never hashed.
   const auto signature = [&](NodeId h) {
-    std::string sig;
-    for (std::size_t s : in_budget) {
-      sig += "s" + std::to_string(s) + ">" + side(peer_parts(fwd, h, s)) +
-             "<" + side(peer_parts(rev, h, s)) + ";";
+    const std::uint32_t hi = dense[h.value()];
+    std::vector<std::uint64_t> sig;
+    for (std::size_t k = 0; k < in_budget.size(); ++k) {
+      for (const auto* dir : {&fwd, &rev}) {
+        const std::vector<Peer>& peers = (*dir)[k * host_count + hi];
+        sig.push_back(peers.size());
+        const std::size_t from = sig.size();
+        for (const Peer& p : peers) {
+          sig.push_back((std::uint64_t{cls[p.host]} << 32) | p.path);
+        }
+        std::sort(sig.begin() + static_cast<std::ptrdiff_t>(from), sig.end());
+      }
     }
     return sig;
   };
@@ -207,7 +434,7 @@ void refine_by_reach(const encode::NetworkModel& model,
         next.push_back(std::move(c));
         continue;
       }
-      std::map<std::string, std::vector<NodeId>> buckets;
+      std::map<std::vector<std::uint64_t>, std::vector<NodeId>> buckets;
       for (NodeId h : c) buckets[signature(h)].push_back(h);
       if (buckets.size() > 1) changed = true;
       for (auto& [sig, members] : buckets) next.push_back(std::move(members));
@@ -215,6 +442,10 @@ void refine_by_reach(const encode::NetworkModel& model,
     classes = std::move(next);
     assign();
   }
+  std::sort(classes.begin(), classes.end(),
+            [](const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+              return a.front() < b.front();
+            });
 }
 
 /// Computes the per-host delivery signatures, refines `out.classes` by them
@@ -243,6 +474,9 @@ void attach_reachability(PolicyClasses& out, const encode::NetworkModel& model,
       scenarios_in_budget(scenario_failures, options.max_failures);
 
   const std::vector<Address> seeds = seed_addresses(model);
+  BoxSets sets;
+  std::vector<std::optional<BoxClosures>> closures(scenario_failures.size());
+  DeliveryUnion acc(net.node_count());
   ReachMap reach;
   for (NodeId h : net.hosts()) {
     auto& per_scenario = reach[h];
@@ -250,12 +484,14 @@ void attach_reachability(PolicyClasses& out, const encode::NetworkModel& model,
     for (std::size_t s : in_budget) {
       const dataplane::TransferFunction& tf =
           transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
-      per_scenario[s] = deliveries_from(model, tf, h, seeds);
+      if (!closures[s]) closures[s].emplace(model, tf, sets);
+      per_scenario[s] =
+          deliveries_from(model, tf, *closures[s], sets, acc, h, seeds);
     }
   }
 
   if (refine_classes) {
-    refine_by_reach(model, out.classes, reach, in_budget);
+    refine_by_reach(model, out.classes, reach, in_budget, sets);
   }
   out.set_reach_signatures(std::move(scenario_failures), std::move(reach),
                            options.max_failures);
@@ -314,25 +550,20 @@ std::vector<NodeId> PolicyClasses::representatives_for(
   std::vector<NodeId> out;
   for (const auto& c : classes) {
     // One representative per (delivered-under-which-scenarios, traversing-
-    // which-instances) behavior toward the target; the signature set per
-    // class is tiny, so a flat set of short strings beats anything fancier.
-    std::set<std::string> seen;
+    // which-instances) behavior toward the target: per in-budget scenario,
+    // 0 for no delivery or the delivery's box-set id + 1.
+    std::set<std::vector<std::uint32_t>> seen;
     for (NodeId h : c) {
-      std::string sig;
+      std::vector<std::uint32_t> sig;
+      sig.reserve(in_budget.size());
       bool delivers = false;
       const auto it = reach_.find(h);
       for (std::size_t s : in_budget) {
         const Delivery* d = it != reach_.end() && s < it->second.size()
                                 ? find_delivery(it->second[s], target)
                                 : nullptr;
-        if (d == nullptr) {
-          sig += "0;";
-          continue;
-        }
-        delivers = true;
-        sig += "(";
-        for (NodeId b : d->boxes) sig += std::to_string(b.value()) + ",";
-        sig += ");";
+        delivers = delivers || d != nullptr;
+        sig.push_back(d != nullptr ? d->boxes + 1 : 0);
       }
       if (!delivers && !include_unreachable) continue;
       if (seen.insert(sig).second) out.push_back(h);

@@ -35,8 +35,33 @@
 // symmetric hosts - including symmetric hosts of mutually disconnected but
 // isomorphic segments - keep sharing a class; per-target representative
 // selection covers the residual within-class variation.
+//
+// How the relation is computed, so that its cost grows with the fabric
+// rather than with host pairs:
+//   - Shared closures. Past its first hop a packet's fate depends only on
+//     the middlebox it reached and the destination it carries, not on who
+//     sent it. Per scenario, the deliveries reachable from each such
+//     (middlebox, destination) state - with the union of the boxes crossed
+//     on the way, middlebox cycles included (one strongly connected
+//     component at a time) - are computed once and shared by every host.
+//     A host pays one fabric walk per destination address and merges the
+//     closure of the box that walk lands on; the result is the same union
+//     over paths a per-host worklist would compute.
+//   - Interned box sets. A delivery records its target and the id of its
+//     interned box set, so equal sets are equal integers, unions are
+//     memoized per id pair, and the type-level path descriptor the
+//     refinement compares is derived once per distinct set.
+//   - Integer signatures. Each refinement round compares, per in-budget
+//     scenario, the sorted (class, path-id) lists of a host's deliveries in
+//     both directions, each prefixed with its length, as exact integer
+//     vectors - no strings and no hashing, so two hosts share a class only
+//     when their signatures are equal.
+//   - Class order. Members keep network (node id) order, and refined
+//     classes are ordered by their first member - the representative - so
+//     class indices do not depend on how the signatures happen to sort.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,11 +91,12 @@ struct PolicyClassOptions {
 };
 
 /// One recorded delivery: packets from the owning host can be delivered to
-/// `target`, traversing (some subset of) `boxes` - the union of middlebox
-/// nodes on the explored paths, sorted.
+/// `target`, traversing (some subset of) the middleboxes of interned box set
+/// `boxes` - the union of middlebox nodes on the explored paths. Box-set ids
+/// are local to one inference: equal ids mean equal sets.
 struct Delivery {
   NodeId target;
-  std::vector<NodeId> boxes;
+  std::uint32_t boxes = 0;
 };
 
 struct PolicyClasses {

@@ -1,5 +1,6 @@
 #include "verify/faults.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -61,11 +62,17 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   return static_cast<std::uint64_t>(v);
 }
 
+/// Appends `key=p` in the shortest form that parses back to exactly `p`
+/// (the MODEL frame ships this text, so process workers must draw faults at
+/// the very probability thread workers do).
 void append_knob(std::string& out, const char* key, double p) {
   if (p == 0.0) return;
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%s%s=%g", out.empty() ? "" : ",", key, p);
-  out += buf;
+  const auto end = std::to_chars(buf, buf + sizeof buf, p).ptr;
+  out += out.empty() ? "" : ",";
+  out += key;
+  out += '=';
+  out.append(buf, end);
 }
 
 }  // namespace

@@ -50,6 +50,58 @@ TEST(ForwardingTable, LongerPrefixBeatsPriority) {
   EXPECT_EQ(t.match(std::nullopt, Address::of(10, 1, 0, 1)), NodeId{2});
 }
 
+TEST(ForwardingTable, EqualRankEarliestRuleWins) {
+  ForwardingTable t;
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{1});
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{3});
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{2});
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{4});
+  EXPECT_EQ(t.match(std::nullopt, Address::of(10, 0, 0, 1)), NodeId{1});
+  EXPECT_EQ(t.match(NodeId{8}, Address::of(10, 0, 0, 1)), NodeId{1});
+  EXPECT_EQ(t.match(NodeId{9}, Address::of(10, 0, 0, 1)), NodeId{3});
+}
+
+TEST(ForwardingTable, InPortRuleBeatsEarlierAndLaterWildcards) {
+  ForwardingTable t;
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{1}, /*priority=*/9);
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{2});
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{3}, /*priority=*/9);
+  EXPECT_EQ(t.match(NodeId{9}, Address::of(10, 0, 0, 1)), NodeId{2});
+}
+
+TEST(ForwardingTable, LongerWildcardBeatsShorterInPortRule) {
+  ForwardingTable t;
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{1}, 50);
+  t.add(Prefix(Address::of(10, 1, 0, 0), 16), NodeId{2});
+  EXPECT_EQ(t.match(NodeId{9}, Address::of(10, 1, 0, 1)), NodeId{2});
+  EXPECT_EQ(t.match(NodeId{9}, Address::of(10, 2, 0, 1)), NodeId{1});
+}
+
+TEST(ForwardingTable, NoInPortNeverMatchesAnInPortRule) {
+  ForwardingTable t;
+  t.add_from(NodeId{0}, Prefix::any(), NodeId{1});
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{2});
+  EXPECT_EQ(t.match(std::nullopt, Address::of(10, 0, 0, 1)), std::nullopt);
+  t.add(Prefix::any(), NodeId{3});
+  EXPECT_EQ(t.match(std::nullopt, Address::of(10, 0, 0, 1)), NodeId{3});
+}
+
+TEST(ForwardingTable, ClearThenAddReindexes) {
+  ForwardingTable t;
+  t.add_from(NodeId{9}, Prefix::any(), NodeId{1});
+  t.add(Prefix::any(), NodeId{2});
+  t.clear();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.match(NodeId{9}, Address(1)), std::nullopt);
+  t.add(Prefix::any(), NodeId{3});
+  EXPECT_EQ(t.match(NodeId{9}, Address(1)), NodeId{3});
+  t.add_from(NodeId{9}, Prefix::any(), NodeId{4});
+  EXPECT_EQ(t.match(NodeId{9}, Address(1)), NodeId{4});
+  EXPECT_EQ(t.match(NodeId{8}, Address(1)), NodeId{3});
+  ASSERT_EQ(t.rules().size(), 2u);
+  EXPECT_EQ(t.rules()[0].next_hop, NodeId{3});
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
   Network net;
@@ -122,6 +174,27 @@ TEST_F(NetworkTest, ScenarioTableOverridesStartFromBase) {
   EXPECT_EQ(net.effective_table(sw, Network::base_scenario)
                 .match(std::nullopt, Address(2)),
             std::nullopt);
+}
+
+TEST_F(NetworkTest, CopiedOverrideTableKeepsItsInPortRules) {
+  NodeId sw = net.add_switch("sw");
+  NodeId a = net.add_host("a", Address(1));
+  NodeId b = net.add_host("b", Address(2));
+  NodeId c = net.add_host("c", Address(3));
+  net.table(sw).add(Prefix::any(), a);
+  net.table(sw).add_from(b, Prefix::any(), c);
+  ScenarioId s = net.add_failure_scenario("s", {});
+  net.table(sw, s).add_from(c, Prefix::any(), b);
+  const ForwardingTable& over = net.effective_table(sw, s);
+  EXPECT_EQ(over.match(b, Address(9)), c);
+  EXPECT_EQ(over.match(c, Address(9)), b);
+  EXPECT_EQ(over.match(a, Address(9)), a);
+  const ForwardingTable copy = over;
+  EXPECT_EQ(copy.match(b, Address(9)), c);
+  EXPECT_EQ(copy.match(c, Address(9)), b);
+  // The base table has no rule from c.
+  EXPECT_EQ(net.effective_table(sw, Network::base_scenario).match(c, Address(9)),
+            a);
 }
 
 TEST_F(NetworkTest, HostAndMiddleboxLists) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -143,6 +145,27 @@ TEST(WirePayloads, ModelRoundTripsFieldForField) {
   EXPECT_EQ(back.policy.faults.crash_job, 3);
   EXPECT_EQ(back.policy.escalate_unknown, model.policy.escalate_unknown);
   EXPECT_EQ(back.spec_text, model.spec_text);
+}
+
+TEST(WirePayloads, FaultProbabilitiesRoundTripBitExactly) {
+  // The MODEL frame ships the fault plan as text, so a probability printed
+  // with too few digits would make process workers draw faults at a
+  // different probability than thread workers.
+  const auto bits = [](double p) { return std::bit_cast<std::uint64_t>(p); };
+  for (double p : {0.1234567, 1.0 / 3, 1e-9}) {
+    FaultPlan plan;
+    plan.solver_unknown = p;
+    plan.worker_crash = p;
+    const FaultPlan back = FaultPlan::parse(plan.to_string());
+    EXPECT_EQ(bits(back.solver_unknown), bits(p)) << plan.to_string();
+    EXPECT_EQ(bits(back.worker_crash), bits(p)) << plan.to_string();
+
+    WireModel model;
+    model.policy.faults = plan;
+    const WireModel shipped = decode_model(encode_model(model));
+    EXPECT_EQ(bits(shipped.policy.faults.solver_unknown), bits(p));
+    EXPECT_EQ(bits(shipped.policy.faults.worker_crash), bits(p));
+  }
 }
 
 TEST(WirePayloads, JobRoundTripsFieldForField) {

@@ -97,6 +97,17 @@ if grep -rEn 'SessionResilience|escalation_timeout_mult|VMN_WORKER_FAULT|from_en
   exit 1
 fi
 
+echo "--- lint: integer class signatures (no strings built in policy.cpp) ---"
+# Class refinement and representative selection compare exact integer
+# signatures over interned box sets (src/slice/policy.hpp). Numbers turned
+# into text there are how string signatures - and their per-round cost -
+# grow back.
+if grep -n 'std::to_string(' "$repo/src/slice/policy.cpp"; then
+  echo "ci: src/slice/policy.cpp renders numbers into strings; build" \
+       "signatures from class and box-set ids instead" >&2
+  exit 1
+fi
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
