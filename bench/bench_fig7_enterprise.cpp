@@ -7,9 +7,12 @@
 // swept here to produce a comparable size axis.
 //
 // The classes/subnets=N records track the set-up the figure leaves out:
-// policy-class inference (Engine::policy_classes) at 50-400 subnets. Host
-// and class counts are pinned by bench/trajectory/; wall_ms is the median
-// over the run's iterations.
+// policy-class inference (Engine::policy_classes) at 50-400 subnets. The
+// plan/subnets=N records time the step after it: the first Engine::plan of
+// the whole invariant batch on an engine whose classes are already built
+// (the planning an `estate`-style operation pays). Host, class and job
+// counts are pinned by bench/trajectory/; wall_ms is the median over the
+// run's iterations.
 #include <algorithm>
 #include <chrono>
 
@@ -83,6 +86,35 @@ void BM_Classes(benchmark::State& state) {
        {"wall_ms", median_ms}});
 }
 
+void BM_Plan(benchmark::State& state) {
+  const int subnets = static_cast<int>(state.range(0));
+  std::vector<double> wall_ms;
+  std::size_t invariants = 0;
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Enterprise ent = make(subnets);
+    Engine v(ent.model, VerifyOptions{});
+    (void)v.policy_classes();
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    const verify::JobPlan plan = v.plan(ent.invariants);
+    wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    invariants = plan.invariant_count;
+    jobs = plan.jobs.size();
+  }
+  std::sort(wall_ms.begin(), wall_ms.end());
+  const double median_ms = wall_ms.empty() ? 0 : wall_ms[wall_ms.size() / 2];
+  state.counters["jobs"] = benchmark::Counter(static_cast<double>(jobs));
+  bench::BenchJson::instance().record(
+      "plan/subnets=" + std::to_string(subnets),
+      {{"invariants", static_cast<double>(invariants)},
+       {"jobs", static_cast<double>(jobs)},
+       {"wall_ms", median_ms}});
+}
+
 void BM_Public_Slice(benchmark::State& s) { run(s, 0, true); }
 void BM_Private_Slice(benchmark::State& s) { run(s, 1, true); }
 void BM_Quarantined_Slice(benchmark::State& s) { run(s, 2, true); }
@@ -105,6 +137,8 @@ BENCHMARK(BM_Private_Full)->Arg(6)->Arg(18)->Arg(30)->ArgNames({"subnets"})
 BENCHMARK(BM_Quarantined_Full)->Arg(6)->Arg(18)->Arg(30)
     ->ArgNames({"subnets"})->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_Classes)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->ArgNames({"subnets"})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Plan)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
     ->ArgNames({"subnets"})->Unit(benchmark::kMillisecond);
 
 }  // namespace

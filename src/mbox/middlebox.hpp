@@ -170,6 +170,11 @@ class Middlebox {
   /// knob lets two differently-configured same-type instances share a job
   /// and one invariant silently inherit the other's verdict. Return an
   /// empty descriptor only for boxes with no configuration at all.
+  ///
+  /// Builds the whole descriptor on every call - O(rows), and a firewall
+  /// has a row per policed subnet. Class inference and the planner read it
+  /// (and the two renderings below) through mbox::ConfigMemo, which builds
+  /// it once per box per model generation.
   [[nodiscard]] virtual ConfigRelations config_relations() const = 0;
 
   /// Canonical description of how this instance's configuration treats
@@ -183,7 +188,8 @@ class Middlebox {
   /// canonically - prefixes by length, peer addresses by column shape,
   /// never by raw bits - so corresponding-but-renamed configurations
   /// fingerprint equal. Final by design: box types describe configuration,
-  /// they do not render it.
+  /// they do not render it. The reference rendering: ConfigMemo::fingerprint
+  /// returns the same string, rendered once per (box, address).
   [[nodiscard]] std::string policy_fingerprint(Address a) const {
     return render_fingerprint(config_relations(), a);
   }
@@ -203,7 +209,8 @@ class Middlebox {
   /// prefix cells project onto their relevant members, pair tables onto
   /// their admitted-pair matrix - a raw-bits leak is impossible by
   /// construction, because the renderer never sees address bits, only the
-  /// descriptor and `token`. Final by design, same as policy_fingerprint.
+  /// descriptor and `token`. Final by design, same as policy_fingerprint;
+  /// the planner renders the same string from ConfigMemo::relations.
   [[nodiscard]] std::string encoding_projection(
       const std::vector<Address>& relevant,
       const std::function<std::string(Address)>& token) const {

@@ -605,6 +605,9 @@ void PolicyClasses::set_reach_signatures(
 
 PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
                                    const PolicyClassOptions& options) {
+  mbox::ConfigMemo local_configs;
+  mbox::ConfigMemo& configs =
+      options.configs != nullptr ? *options.configs : local_configs;
   std::map<std::string, std::vector<NodeId>> groups;
   for (NodeId h : model.network().hosts()) {
     const Address a = model.network().node(h).address;
@@ -618,9 +621,9 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     // every member box of the slice before any verdict merges.
     std::vector<std::string> parts;
     for (const auto& box : model.middleboxes()) {
-      std::string bfp = box->policy_fingerprint(a);
+      const std::string& bfp = configs.fingerprint(*box, a);
       if (bfp.empty()) continue;
-      parts.push_back(box->type() + "{" + std::move(bfp) + "}");
+      parts.push_back(box->type() + "{" + bfp + "}");
     }
     std::sort(parts.begin(), parts.end());
     std::string fp;

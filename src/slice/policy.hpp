@@ -68,6 +68,7 @@
 
 #include "dataplane/transfer.hpp"
 #include "encode/model.hpp"
+#include "mbox/config_memo.hpp"
 
 namespace vmn::slice {
 
@@ -84,6 +85,11 @@ struct PolicyClassOptions {
   /// PlanContext's cache); when null the inference builds a private one.
   /// Borrowed, single-threaded, must outlive the call.
   dataplane::TransferCache* transfers = nullptr;
+  /// Optional shared configuration memo (the planning PlanContext's): the
+  /// host fingerprints inference renders stay there for the planner's
+  /// canonical slice keys. When null the inference builds a private one.
+  /// Borrowed, single-threaded, must outlive the call.
+  mbox::ConfigMemo* configs = nullptr;
   /// Disables the reachability refinement and signature recording
   /// (configuration fingerprints only - the historically unsound relation;
   /// kept as a debug/benchmark baseline).

@@ -89,11 +89,16 @@ Slice compute_slice(const NetworkModel& model, const Invariant& invariant,
     std::set<Address> addresses;
     for (NodeId h : hosts) addresses.insert(net.node(h).address);
     // Alias addresses: VIPs fronting slice hosts, NAT externals hiding
-    // them. Flows toward an alias are flows toward the slice.
-    for (const auto& box : model.middleboxes()) {
-      for (Address a : std::vector<Address>(addresses.begin(), addresses.end())) {
+    // them. Flows toward an alias are flows toward the slice. Closed to a
+    // fixpoint, so an alias of an alias (a VIP whose backend is another
+    // box's VIP) is found whatever order the boxes were declared in.
+    std::vector<Address> unaliased(addresses.begin(), addresses.end());
+    while (!unaliased.empty()) {
+      const Address a = unaliased.back();
+      unaliased.pop_back();
+      for (const auto& box : model.middleboxes()) {
         for (Address alias : box->inverse_addresses(a)) {
-          addresses.insert(alias);
+          if (addresses.insert(alias).second) unaliased.push_back(alias);
         }
       }
     }

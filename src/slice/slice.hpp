@@ -21,7 +21,9 @@
 // failure scenario within the failure budget) between every ordered pair of
 // slice addresses, adding every middlebox on the way - including targets of
 // middlebox rewrites (load-balancer backends, NAT externals), which
-// contribute new addresses.
+// contribute new addresses. The slice addresses include every alias of a
+// slice host, closed transitively: a VIP whose backend is another box's VIP
+// for the host is an alias too, whatever order the boxes are declared in.
 #pragma once
 
 #include <vector>

@@ -100,13 +100,14 @@ struct Refined {
 /// co-refines member and relevant-address colors over the scenario-tagged
 /// routing relation (three rounds on the tripartite member/address/scenario
 /// structure), starting from the caller's initial member colors.
-/// `fingerprint_incidence` additionally colors each (middlebox, address)
-/// incidence with the box's per-address policy fingerprint - the slice key
-/// wants configuration in the fingerprint, the shape key deliberately does
-/// not (shape_bijection verifies configuration exactly instead).
+/// A non-null `configs` additionally colors each (middlebox, address)
+/// incidence with the box's per-address policy fingerprint, drawn from that
+/// memo - the slice key wants configuration in the fingerprint, the shape
+/// key deliberately does not (shape_bijection verifies configuration
+/// exactly instead) and passes null.
 Refined wl_refine(const encode::NetworkModel& model,
                   const std::vector<NodeId>& members,
-                  std::vector<std::string> mcolor, bool fingerprint_incidence,
+                  std::vector<std::string> mcolor, mbox::ConfigMemo* configs,
                   int max_failures, dataplane::TransferCache& tcache) {
   const net::Network& net = model.network();
   auto member_index = [&](NodeId id) -> std::optional<std::size_t> {
@@ -173,16 +174,16 @@ Refined wl_refine(const encode::NetworkModel& model,
     std::string rel;
   };
   std::vector<CfgPair> cfg_pairs;
-  if (fingerprint_incidence) {
+  if (configs != nullptr) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const mbox::Middlebox* box = model.middlebox_at(members[i]);
       if (box == nullptr) continue;
       for (std::size_t j = 0; j < relevant.size(); ++j) {
         owners[j].push_back(
-            {"f" + digest(box->policy_fingerprint(relevant[j])), i});
+            {"f" + digest(configs->fingerprint(*box, relevant[j])), i});
       }
-      const mbox::ConfigRelations rels = box->config_relations();
-      for (const mbox::ConfigRelation& rel : rels.relations) {
+      for (const mbox::ConfigRelation& rel :
+           configs->relations(*box).relations) {
         if (rel.semantics != mbox::RelationSemantics::pair_match) continue;
         for (std::size_t j = 0; j < relevant.size(); ++j) {
           for (std::size_t k = 0; k < relevant.size(); ++k) {
@@ -327,11 +328,14 @@ std::string canonical_slice_key(const encode::NetworkModel& model,
                                 const encode::Invariant& invariant,
                                 const PolicyClasses& classes,
                                 int max_failures,
-                                dataplane::TransferCache* transfers) {
+                                dataplane::TransferCache* transfers,
+                                mbox::ConfigMemo* configs) {
   const net::Network& net = model.network();
   dataplane::TransferCache local_transfers(net);
   dataplane::TransferCache& tcache =
       transfers != nullptr ? *transfers : local_transfers;
+  mbox::ConfigMemo local_configs;
+  mbox::ConfigMemo& cmemo = configs != nullptr ? *configs : local_configs;
   const std::vector<NodeId> members = normalize_members(slice_members);
 
   // Initial member colors: invariant role, then policy class for hosts and
@@ -365,9 +369,8 @@ std::string canonical_slice_key(const encode::NetworkModel& model,
     mcolor[i] = std::move(c);
   }
 
-  Refined refined = wl_refine(model, members, std::move(mcolor),
-                              /*fingerprint_incidence=*/true, max_failures,
-                              tcache);
+  Refined refined = wl_refine(model, members, std::move(mcolor), &cmemo,
+                              max_failures, tcache);
   return encode::to_string(invariant.kind) + "/" + invariant.type_prefix +
          refined.palette;
 }
@@ -402,8 +405,7 @@ ShapeKey canonical_shape_key(const encode::NetworkModel& model,
   }
 
   Refined refined = wl_refine(model, out.members, std::move(mcolor),
-                              /*fingerprint_incidence=*/false, max_failures,
-                              tcache);
+                              /*configs=*/nullptr, max_failures, tcache);
   out.key = "shape" + refined.palette;
   out.colors = std::move(refined.mcolor);
   return out;
@@ -412,7 +414,8 @@ ShapeKey canonical_shape_key(const encode::NetworkModel& model,
 std::optional<std::vector<NodeId>> shape_bijection(
     const encode::NetworkModel& model, const ShapeKey& from,
     const ShapeKey& to, int max_failures,
-    dataplane::TransferCache* transfers, MergeRefusal* why) {
+    dataplane::TransferCache* transfers, mbox::ConfigMemo* configs,
+    MergeRefusal* why) {
   const net::Network& net = model.network();
   auto refuse = [&](std::string reason, std::string box_type =
                                             {}) -> std::optional<std::vector<NodeId>> {
@@ -432,6 +435,8 @@ std::optional<std::vector<NodeId>> shape_bijection(
   dataplane::TransferCache local_transfers(net);
   dataplane::TransferCache& tcache =
       transfers != nullptr ? *transfers : local_transfers;
+  mbox::ConfigMemo local_configs;
+  mbox::ConfigMemo& cmemo = configs != nullptr ? *configs : local_configs;
   const std::size_t n = from.members.size();
 
   // Candidate pairing: sort both sides by (color, position) and pair in
@@ -568,10 +573,11 @@ std::optional<std::vector<NodeId>> shape_bijection(
     const mbox::Middlebox* box_a = model.middlebox_at(from.members[i]);
     if (box_a == nullptr) continue;
     const mbox::Middlebox* box_b = model.middlebox_at(image[i]);
-    if (box_a->encoding_projection(rel_from, tok_from) !=
-        box_b->encoding_projection(mapped, tok_to)) {
+    if (mbox::render_projection(cmemo.relations(*box_a), rel_from,
+                                tok_from) !=
+        mbox::render_projection(cmemo.relations(*box_b), mapped, tok_to)) {
       std::string detail = mbox::diff_config(
-          box_a->type(), box_a->config_relations(), box_b->config_relations(),
+          box_a->type(), cmemo.relations(*box_a), cmemo.relations(*box_b),
           rel_from, tok_from, mapped, tok_to);
       if (detail.empty()) {
         // Structurally corresponding descriptors whose projections still
@@ -655,7 +661,8 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
                                  const ShapeKey& shape,
                                  const encode::Invariant& invariant,
                                  int max_failures,
-                                 dataplane::TransferCache* transfers) {
+                                 dataplane::TransferCache* transfers,
+                                 mbox::ConfigMemo* configs) {
   ProblemKey out;
   const net::Network& net = model.network();
   const std::size_t n = shape.members.size();
@@ -665,6 +672,8 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
   dataplane::TransferCache local_transfers(net);
   dataplane::TransferCache& tcache =
       transfers != nullptr ? *transfers : local_transfers;
+  mbox::ConfigMemo local_configs;
+  mbox::ConfigMemo& cmemo = configs != nullptr ? *configs : local_configs;
 
   // Canonical rank order: (final shape color, invariant role, position).
   // Rank r of one problem stands for rank r of any equal-keyed other, and
@@ -754,7 +763,9 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
     const mbox::Middlebox* box = model.middlebox_at(shape.members[order[r]]);
     if (box == nullptr) continue;
     body += "c" + std::to_string(r) + "=" +
-            digest(box->encoding_projection(out.tokens, tokfn)) + ";";
+            digest(mbox::render_projection(cmemo.relations(*box), out.tokens,
+                                           tokfn)) +
+            ";";
   }
   // The invariant, in rank coordinates. Traversal invariants select
   // middleboxes by name prefix - the key records the selected rank set

@@ -87,11 +87,15 @@ struct SymmetryGroups {
 /// encoded problem changes the key.
 ///
 /// `transfers`, when non-null, memoizes per-scenario transfer functions
-/// across calls (shared with compute_slice by the batch planner).
+/// across calls (shared with compute_slice by the batch planner);
+/// `configs`, when non-null, memoizes each box's descriptor and
+/// per-address fingerprints (shared with class inference by the batch
+/// planner). Null builds private ones; the key is the same either way.
 [[nodiscard]] std::string canonical_slice_key(
     const encode::NetworkModel& model, const std::vector<NodeId>& members,
     const encode::Invariant& invariant, const PolicyClasses& classes,
-    int max_failures = 0, dataplane::TransferCache* transfers = nullptr);
+    int max_failures = 0, dataplane::TransferCache* transfers = nullptr,
+    mbox::ConfigMemo* configs = nullptr);
 
 /// Canonical fingerprint of a *base encoding problem* - (model, member set,
 /// failure budget) with no invariant - plus the per-member refinement
@@ -135,7 +139,8 @@ struct ShapeKey {
 /// targets (for traversal invariants, the rank set the encoder's
 /// name-prefix selection picks), and the per-scenario transfer relation
 /// plus failed-member sets as a sorted multiset of scenario signatures,
-/// with the failure budget appended.
+/// with the failure budget appended. `transfers` and `configs` are the
+/// optional shared memos, as for canonical_slice_key.
 ///
 /// Exactness contract: two problems with equal keys pair rank-for-rank
 /// into a bijection that passes every check shape_bijection() verifies
@@ -166,7 +171,8 @@ struct ProblemKey {
 [[nodiscard]] ProblemKey canonical_problem_key(
     const encode::NetworkModel& model, const ShapeKey& shape,
     const encode::Invariant& invariant, int max_failures = 0,
-    dataplane::TransferCache* transfers = nullptr);
+    dataplane::TransferCache* transfers = nullptr,
+    mbox::ConfigMemo* configs = nullptr);
 
 /// Why shape_bijection refused a candidate merge. `reason` is the one-line
 /// diagnostic `vmn verify --dedup-report` prints; when a middlebox
@@ -203,11 +209,13 @@ struct MergeRefusal {
 /// configuration-projection mismatches, the boxes' ConfigRelations
 /// descriptors are diffed structurally so the reason names the exact
 /// relation, row and cell that blocked the merge (what
-/// `vmn verify --dedup-report` surfaces).
+/// `vmn verify --dedup-report` surfaces). `transfers` and `configs` are the
+/// optional shared memos, as for canonical_slice_key; the projections and
+/// the diff read the boxes' descriptors from `configs`.
 [[nodiscard]] std::optional<std::vector<NodeId>> shape_bijection(
     const encode::NetworkModel& model, const ShapeKey& from,
     const ShapeKey& to, int max_failures = 0,
     dataplane::TransferCache* transfers = nullptr,
-    MergeRefusal* why = nullptr);
+    mbox::ConfigMemo* configs = nullptr, MergeRefusal* why = nullptr);
 
 }  // namespace vmn::slice

@@ -40,8 +40,9 @@
 //    by every run_batch - including across rebind()s, where its v5
 //    record-granular invalidation retires exactly the records a spec edit
 //    orphaned;
-//  - the policy classes and the PlanContext (transfer memos, shape
-//    representatives) every plan pass draws from, built on first use.
+//  - the policy classes and the PlanContext (transfer and configuration
+//    memos, shape representatives) every plan pass draws from, built on
+//    first use and dropped by rebind().
 // rebind() swaps in an edited model while keeping the cache, which is what
 // makes the serve daemon's incremental re-verification cheap: unchanged
 // slices' canonical keys still hit.

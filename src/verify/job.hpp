@@ -20,6 +20,7 @@
 #include "core/ids.hpp"
 #include "dataplane/transfer.hpp"
 #include "encode/invariant.hpp"
+#include "mbox/config_memo.hpp"
 #include "slice/symmetry.hpp"
 
 namespace vmn::verify {
@@ -44,23 +45,27 @@ struct MergeBlocker {
   std::size_t count = 0;
 };
 
-/// Shared state for one plan_jobs pass. The planner is the serial Amdahl
-/// term in front of the parallel fan-out, and its dominant cost used to be
-/// rebuilding an identical dataplane::TransferFunction per (invariant,
-/// scenario) twice per invariant - once inside compute_slice, once inside
-/// canonical_slice_key. A PlanContext owns one memoized transfer function
-/// per failure scenario and every slice computation and canonical key of
-/// the plan draws from it, so each scenario's fabric walks happen once per
-/// batch instead of twice per invariant. Policy-class inference
-/// (build_policy_classes) runs its reachability refinement through a
-/// PlanContext of its own for the same reason: the per-(host, scenario)
-/// delivery walks all share one memo, and slice seeding afterwards only
-/// *looks up* the recorded signatures - planning never re-walks the
-/// dataplane for representative selection. Single-threaded, like the cache
-/// it wraps; one context never outlives its model.
+/// Shared planning state for one model generation: built with the
+/// engine's policy classes and dropped with them on Engine::rebind, so no
+/// memo outlives the model it describes. Single-threaded, like the memos it
+/// holds.
+///
+/// The planner is the serial Amdahl term in front of the parallel fan-out,
+/// and what it would otherwise repeat per invariant are renderings of the
+/// same model: fabric walks and box configurations. `transfers` keeps one
+/// transfer function per failure scenario, so every slice computation and
+/// canonical key walks each (edge, destination) pair once per generation.
+/// `configs` keeps each middlebox's ConfigRelations descriptor and each
+/// (box, address) policy fingerprint, so a firewall whose ACL grows with
+/// the network is described once, not once per invariant and per key.
+/// Policy-class inference (build_policy_classes) runs through the same
+/// context: its reachability walks land in `transfers`, every host's
+/// fingerprints land in `configs`, and the planner afterwards only looks
+/// them up. What is left of a plan is the keys' own string 1-WL rounds.
 struct PlanContext {
   explicit PlanContext(const net::Network& network) : transfers(network) {}
   dataplane::TransferCache transfers;
+  mbox::ConfigMemo configs;
   /// Canonical-shape-key-indexed encoding-reuse cache: member sets planned
   /// under a shape key are rebound (Job::iso_image) onto the first
   /// registered representative their exact verification accepts. A key

@@ -65,13 +65,15 @@ slice::PolicyClasses build_policy_classes(const encode::NetworkModel& model,
                                           const VerifyOptions& options,
                                           PlanContext& ctx) {
   // The reachability refinement walks every (host, scenario) pair through
-  // the planning context's TransferCache - warming the exact memo the plan
+  // the planning context's TransferCache and renders every host's
+  // fingerprints into its ConfigMemo - warming the exact memos the plan
   // passes draw from later - and the refinement budget mirrors the
   // verification budget so the class relation splits on exactly the
   // scenarios the solver will see.
   slice::PolicyClassOptions popts;
   popts.max_failures = options.max_failures;
   popts.transfers = &ctx.transfers;
+  popts.configs = &ctx.configs;
   return options.infer_policy_classes
              ? slice::infer_policy_classes(model, popts)
              : slice::declared_policy_classes(model, popts);
@@ -365,11 +367,12 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   const auto plan_start = std::chrono::steady_clock::now();
   JobPlan plan;
   plan.invariant_count = invariants.size();
-  // One PlanContext across the pass: every compute_slice and
-  // canonical_slice_key below shares the same per-scenario transfer
-  // functions (and their accumulated walk memos) instead of rebuilding
-  // them per invariant. The engine passes its own context, already warm
-  // from class inference; standalone callers plan on a local one.
+  // One PlanContext across the pass: every compute_slice and canonical key
+  // below shares the same per-scenario transfer functions (and their
+  // accumulated walk memos) and the same box descriptors and fingerprints
+  // instead of rebuilding them per invariant. The engine passes its own
+  // context, already warm from class inference; standalone callers plan on
+  // a local one.
   PlanContext local_ctx(model.network());
   PlanContext& ctx = shared_ctx != nullptr ? *shared_ctx : local_ctx;
   // The key is strictly finer than the coarse class-signature grouping
@@ -389,7 +392,8 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     std::string key;
     if (use_symmetry) {
       key = slice::canonical_slice_key(model, members, inv, classes,
-                                       options.max_failures, &ctx.transfers);
+                                       options.max_failures, &ctx.transfers,
+                                       &ctx.configs);
       auto it = job_by_key.find(key);
       if (it != job_by_key.end()) {
         plan.jobs[it->second].inheritors.push_back(i);
@@ -471,7 +475,7 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
           slice::MergeRefusal why;
           if (std::optional<std::vector<NodeId>> image = slice::shape_bijection(
                   model, shape, rep_shape, options.max_failures,
-                  &ctx.transfers, &why)) {
+                  &ctx.transfers, &ctx.configs, &why)) {
             decision.first = std::move(*image);
             decision.second = rep.members;
             break;
@@ -505,7 +509,7 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     if (use_symmetry) {
       job.problem_key = slice::canonical_problem_key(
           model, shape_of(job.members), inv, options.max_failures,
-          &ctx.transfers);
+          &ctx.transfers, &ctx.configs);
     }
   }
   // Equivalence-class merging: jobs whose problem keys are equal describe

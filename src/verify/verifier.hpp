@@ -186,9 +186,10 @@ struct BatchResult : SessionCounters {
 /// (configuration fingerprints refined by per-scenario reachability
 /// signatures, budgeted by options.max_failures) or declared, per
 /// options.infer_policy_classes. Built through the engine's own
-/// PlanContext, so the refinement's dataplane walks land in the same
-/// per-scenario memo every later plan pass draws from (planning re-walks
-/// nothing the refinement already walked).
+/// PlanContext, so the refinement's dataplane walks and the hosts'
+/// configuration fingerprints land in the memos every later plan pass
+/// draws from (planning re-walks and re-renders nothing inference already
+/// did).
 [[nodiscard]] slice::PolicyClasses build_policy_classes(
     const encode::NetworkModel& model, const VerifyOptions& options,
     PlanContext& ctx);
@@ -225,8 +226,8 @@ struct BatchResult : SessionCounters {
 /// structure fingerprint-match; merges the coarse class-signature criterion
 /// would have made but the key refuses are counted as conservative splits -
 /// each costs a solver call and buys soundness). One PlanContext memoizes
-/// per-scenario transfer functions across every slice and canonical key of
-/// the pass, and the finished queue is stably reordered so jobs sharing a
+/// per-scenario transfer functions and box configuration renderings across
+/// every slice and canonical key of the pass, and the finished queue is stably reordered so jobs sharing a
 /// slice shape are adjacent (fueling warm solver reuse). Engine::run_batch
 /// fans shape-groups of this plan out over its workers - one worker or
 /// many, the same plan, which is what makes every worker count agree

@@ -3,7 +3,11 @@
 // verification on the slice agrees with verification on the full network.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/rng.hpp"
+#include "io/spec.hpp"
 #include "mbox/content_cache.hpp"
 #include "mbox/firewall.hpp"
 #include "mbox/idps.hpp"
@@ -18,6 +22,7 @@
 #include "slice/symmetry.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
+#include "verify/fuzz.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::slice {
@@ -53,6 +58,43 @@ TEST(Slice, ContainsReferencedHostsAndPathMiddleboxes) {
   EXPECT_TRUE(member_names.contains("fw"));
   EXPECT_TRUE(member_names.contains("gw"));
   EXPECT_FALSE(s.has_origin_agnostic);
+}
+
+TEST(Slice, AliasOfAliasIsFoundInEitherDeclarationOrder) {
+  // h0 reaches h1 through lb1's VIP, whose backend is lb2's VIP for h1
+  // (tests/specs/alias_chain_*.vmn). The slice must take in both boxes
+  // whichever is declared first; collecting aliases one box at a time in
+  // declaration order missed the outer VIP and sliced the violation away.
+  for (const char* name :
+       {"alias_chain_outer_first", "alias_chain_inner_first"}) {
+    SCOPED_TRACE(name);
+    const std::string path =
+        std::string(VMN_SOURCE_DIR) + "/tests/specs/" + name + ".vmn";
+    const io::Spec spec = io::load_spec(path);
+    ASSERT_EQ(spec.invariants.size(), 1u);
+    const net::Network& net = spec.model.network();
+    const Slice s = compute_slice(spec.model, spec.invariants[0],
+                                  infer_policy_classes(spec.model));
+    std::set<std::string> names;
+    for (NodeId m : s.members) names.insert(net.name(m));
+    EXPECT_EQ(names, (std::set<std::string>{"h0", "h1", "lb1", "lb2"}));
+    for (bool use_slices : {true, false}) {
+      verify::VerifyOptions opts;
+      opts.use_slices = use_slices;
+      verify::Engine engine(spec.model, opts);
+      EXPECT_EQ(engine.run_batch(spec.invariants).results[0].outcome,
+                verify::Outcome::violated)
+          << "use_slices=" << use_slices;
+    }
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    verify::FuzzReport report;
+    EXPECT_EQ(verify::check_spec_text(text.str(), 0, verify::FuzzOptions{},
+                                      report),
+              0u)
+        << (report.failures.empty() ? "" : report.failures[0].detail);
+  }
 }
 
 TEST(Slice, SizeIndependentOfNetworkSize) {

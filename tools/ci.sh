@@ -11,8 +11,10 @@
 # exits with the "incomplete" code) - and slice soundness on the shipped
 # segmented spec (disconnected segments, identical middlebox configs): its
 # expect clauses encode the whole-network truth, so every backend and
-# symmetry mode must reproduce them, and a cache directory written under a
-# previous key-format version must be rejected (0 hits), then upgraded -
+# symmetry mode must reproduce them, as must the slice regression specs
+# under tests/specs (whose witnesses must also replay), and a cache
+# directory written under a previous key-format version must be rejected
+# (0 hits), then upgraded -
 # and finally the serve daemon on a Unix socket: an in-place edit confined
 # to one segment must re-solve only that segment (counter-asserted) with
 # verdicts equal to a cold one-shot run.
@@ -41,6 +43,19 @@ if grep -En "(policy_fingerprint|encoding_projection)[^;]*\)[^;]*(const)?[^;]*ov
     "$repo"/src/mbox/*.hpp "$repo"/src/mbox/*.cpp; then
   echo "ci: a middlebox overrides policy_fingerprint/encoding_projection;" \
        "implement config_relations() instead (src/mbox/config.hpp)" >&2
+  exit 1
+fi
+
+echo "--- lint: planner renders configuration through the PlanContext memo ---"
+# Slicing, class inference and the planner read box configuration through
+# mbox::ConfigMemo (the PlanContext's configs), which builds each box's
+# descriptor and each (box, address) fingerprint once per model generation.
+# A direct call rebuilds the whole descriptor per use - O(ACL rows) per
+# invariant - which is how planning cost grew with the network.
+if grep -En -- '->(config_relations\(\)|policy_fingerprint\(|encoding_projection\()' \
+    "$repo"/src/slice/*.cpp "$repo/src/verify/verifier.cpp"; then
+  echo "ci: the planner renders box configuration directly; go through" \
+       "mbox::ConfigMemo (src/mbox/config_memo.hpp) instead" >&2
   exit 1
 fi
 
@@ -268,6 +283,15 @@ if ! diff <(echo "$seg_verdicts") <(echo "$seg_nosym_proc" | verdicts); then
   echo "ci: segmented spec: --no-symmetry process backend disagrees" >&2
   exit 1
 fi
+
+echo "--- smoke: alias-of-alias regression specs (sliced verdicts, replay) ---"
+# Two load balancers whose VIPs chain, declared in both orders: the sliced
+# verdict must match the expect clause (violated) and the whole oracle
+# battery, witness replay included, must pass on each.
+for regression in "$repo"/tests/specs/alias_chain_*.vmn; do
+  "$build/vmn" verify "$regression"
+  "$build/vmn" fuzz --replay "$regression"
+done
 
 echo "--- smoke: pre-fix cache directory is rejected (stale key version) ---"
 seg_cache="$(mktemp -d)"
